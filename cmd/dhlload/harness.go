@@ -1,7 +1,6 @@
 package main
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/cpclient"
 	"repro/internal/dhlsys"
 	"repro/internal/faults"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/track"
 	"repro/internal/units"
@@ -156,49 +156,19 @@ type Result struct {
 	Latency   telemetry.HistogramPoint `json:"latency"`
 }
 
-// event is one scheduled callback on the virtual clock.
-type event struct {
-	at  float64
-	seq int64
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at < h[j].at {
-		return true
-	}
-	if h[j].at < h[i].at {
-		return false
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// pending is one admitted request parked in the modelled waiting room.
+// pending is one request parked in admit's waiting room: what to run
+// when admit promotes its ticket, and the timeout to cancel then.
 type pending struct {
-	tk       *admit.Ticket
-	req      controlplane.Request
-	deliver  func(resp controlplane.Response)
-	started  bool
-	timedOut bool
+	req     controlplane.Request
+	deliver func(resp controlplane.Response)
+	timeout sim.Handle
 }
 
 // harness replays the server's overload machinery on a virtual clock: a
-// real dhlsys.System behind a capacity-1 executor, fronted by a real
-// admit.Controller fed virtual timestamps. Single-threaded; every source
-// of variation is a seeded RNG, so runs are byte-reproducible.
+// real dhlsys.System behind a real admit.Controller (the one gate, fed
+// virtual timestamps), driven by its own sim.Engine. Single-threaded;
+// every source of variation is a seeded RNG, so runs are
+// byte-reproducible.
 type harness struct {
 	cfg    Config
 	sys    *dhlsys.System
@@ -207,13 +177,9 @@ type harness struct {
 	reg    *telemetry.Registry
 	lat    *telemetry.Histogram
 
-	now    float64
-	seq    int64
-	events eventHeap
-
-	execBusy bool
-	queue    []*pending
-	cacheOK  bool
+	eng     *sim.Engine
+	waiting map[*admit.Ticket]*pending
+	cacheOK bool
 
 	res      Result
 	busyTime float64 // executor busy seconds clipped to the horizon
@@ -242,31 +208,40 @@ func newHarness(cfg Config) (*harness, error) {
 		adm: admit.New(cfg.Admission),
 		// One retry budget for the whole fleet, scoped per server the way
 		// cpclient documents; NewBudget applies the defaults.
-		budget: cpclient.NewBudget(cfg.Retry.BudgetBurst, cfg.Retry.BudgetPerSuccess),
-		reg:    telemetry.NewRegistry(),
+		budget:  cpclient.NewBudget(cfg.Retry.BudgetBurst, cfg.Retry.BudgetPerSuccess),
+		reg:     telemetry.NewRegistry(),
+		eng:     sim.New(),
+		waiting: make(map[*admit.Ticket]*pending),
 	}
 	h.lat = h.reg.Histogram("load_latency_s", latencyBounds)
 	h.res.Config = cfg
 	return h, nil
 }
 
+// now is the harness's virtual clock, in seconds.
+func (h *harness) now() float64 { return float64(h.eng.Now()) }
+
 // vt converts virtual seconds to the time.Time the admission controller
 // expects. Epoch-anchored, so identical runs see identical timestamps.
 func (h *harness) vt() time.Time {
-	return time.Unix(0, 0).Add(time.Duration(h.now * float64(time.Second)))
+	return time.Unix(0, 0).Add(time.Duration(h.now() * float64(time.Second)))
 }
 
-func (h *harness) schedule(at float64, fn func()) {
-	if at < h.now {
-		at = h.now
+// schedule runs fn at virtual time at, clamped to now; ties fire in
+// scheduling order.
+func (h *harness) schedule(at float64, fn func()) sim.Handle {
+	if at < h.now() {
+		at = h.now()
 	}
-	h.seq++
-	heap.Push(&h.events, &event{at: at, seq: h.seq, fn: fn})
+	ev, err := h.eng.At(units.Seconds(at), "dhlload", fn)
+	if err != nil {
+		panic(err) // unreachable: at is clamped and fn is never nil
+	}
+	return ev
 }
 
 // Run drives the event loop to completion and finalises the result.
 func (h *harness) Run() (*Result, error) {
-	heap.Init(&h.events)
 	switch h.cfg.Mode {
 	case "closed":
 		h.startClosedLoop()
@@ -280,21 +255,19 @@ func (h *harness) Run() (*Result, error) {
 	if h.cfg.StatusEvery > 0 {
 		h.schedule(h.cfg.StatusEvery, h.statusProbe)
 	}
-	for h.events.Len() > 0 {
-		e := heap.Pop(&h.events).(*event)
-		h.now = e.at
-		e.fn()
+	if _, err := h.eng.Run(0); err != nil {
+		return nil, err
 	}
 	h.finish()
 	return &h.res, nil
 }
 
-// submit routes one request through the modelled admission layer.
-// deliver is invoked exactly once, at the virtual time the response
-// reaches the client.
+// submit routes one request through the admission controller. deliver
+// is invoked exactly once, at the virtual time the response reaches the
+// client.
 func (h *harness) submit(conn int64, req controlplane.Request, deliver func(controlplane.Response)) {
 	h.res.Issued++
-	tk, out := h.adm.Arrive(classOf(req.Op), conn, h.vt())
+	tk, out := h.adm.Arrive(controlplane.ClassOf(req.Op), conn, h.vt())
 	if !out.Admitted {
 		h.res.ShedBusy++
 		resp := controlplane.Response{
@@ -305,65 +278,53 @@ func (h *harness) submit(conn int64, req controlplane.Request, deliver func(cont
 		}
 		// The shed reply still crosses the wire: deliver after the API
 		// overhead, not instantaneously.
-		h.schedule(h.now+h.cfg.APICost, func() { deliver(resp) })
+		h.schedule(h.now()+h.cfg.APICost, func() { deliver(resp) })
 		return
 	}
 	if !out.Queued {
 		h.startService(tk, req, deliver)
 		return
 	}
-	p := &pending{tk: tk, req: req, deliver: deliver}
-	h.queue = append(h.queue, p)
-	h.schedule(h.now+h.cfg.RequestTimeout, func() {
-		if p.started || p.timedOut {
-			return
-		}
-		p.timedOut = true
-		h.adm.Abandon(p.tk)
+	p := &pending{req: req, deliver: deliver}
+	p.timeout = h.schedule(h.now()+h.cfg.RequestTimeout, func() {
+		delete(h.waiting, tk)
+		h.adm.Abandon(tk, h.vt())
 		h.res.QueueTimeout++
-		p.deliver(controlplane.Response{
+		deliver(controlplane.Response{
 			OK:          false,
 			Code:        controlplane.CodeServerBusy,
 			Error:       "overloaded: request timeout in queue",
 			RetryAfterS: h.cfg.RequestTimeout,
 		})
 	})
+	h.waiting[tk] = p
 }
 
-// startService occupies the executor with one request. The simulation op
-// runs (advancing sim time) when service begins; the response is
-// delivered when the virtual service interval elapses.
+// startService runs one request's simulation op as its service begins
+// (advancing sim time) and delivers the response when the virtual
+// service interval elapses.
 func (h *harness) startService(tk *admit.Ticket, req controlplane.Request, deliver func(controlplane.Response)) {
-	h.execBusy = true
-	resp, opSeconds := h.runSim(req)
-	service := opSeconds + h.cfg.APICost
-	start := h.now
+	resp := controlplane.ExecuteSim(h.sys, req)
+	h.occupy(tk, resp.OpSeconds+h.cfg.APICost, func() { deliver(resp) })
+}
+
+// occupy holds tk's executor slot for service seconds. At the end it
+// releases the slot, starts whichever waiter admit promotes into it,
+// then runs after.
+func (h *harness) occupy(tk *admit.Ticket, service float64, after func()) {
+	start := h.now()
 	end := start + service
 	h.busyTime += clip(start, end, h.cfg.Duration)
 	h.schedule(end, func() {
-		h.execBusy = false
 		h.cacheOK = true
-		if tk != nil {
-			h.adm.Done(tk, h.vt())
+		if next, _ := h.adm.Done(tk, h.vt()); next != nil {
+			p := h.waiting[next]
+			delete(h.waiting, next)
+			h.eng.Cancel(p.timeout)
+			h.startService(next, p.req, p.deliver)
 		}
-		h.dispatchQueue()
-		deliver(resp)
+		after()
 	})
-}
-
-// dispatchQueue starts the oldest still-waiting request, if any.
-func (h *harness) dispatchQueue() {
-	for len(h.queue) > 0 {
-		p := h.queue[0]
-		h.queue = h.queue[1:]
-		if p.timedOut {
-			continue
-		}
-		p.started = true
-		h.adm.Started(p.tk, h.vt())
-		h.startService(p.tk, p.req, p.deliver)
-		return
-	}
 }
 
 // clip returns the part of [start, end) inside [0, horizon).
@@ -380,67 +341,22 @@ func clip(start, end, horizon float64) float64 {
 	return end - start
 }
 
-// runSim executes one op against the real simulation, returning the wire
-// response and the simulated service seconds.
-func (h *harness) runSim(req controlplane.Request) (controlplane.Response, float64) {
-	start := h.sys.Engine.Now()
-	var opErr error
-	id := track.CartID(req.Cart)
-	switch req.Op {
-	case controlplane.OpOpen:
-		h.sys.Open(id, func(err error) { opErr = err })
-	case controlplane.OpClose:
-		h.sys.Close(id, func(err error) { opErr = err })
-	case controlplane.OpRead:
-		h.sys.Read(id, units.Bytes(req.Bytes), func(_ units.Seconds, err error) { opErr = err })
-	case controlplane.OpWrite:
-		h.sys.Write(id, units.Bytes(req.Bytes), func(_ units.Seconds, err error) { opErr = err })
-	case controlplane.OpStatus:
-		return controlplane.Response{OK: true, SimTime: float64(h.sys.Engine.Now())}, h.cfg.CtlCost
-	}
-	if _, err := h.sys.Run(); err != nil {
-		return controlplane.Response{OK: false, Code: controlplane.CodeInternal, Error: err.Error()}, h.cfg.APICost
-	}
-	dur := float64(h.sys.Engine.Now() - start)
-	resp := controlplane.Response{
-		OK:        opErr == nil,
-		SimTime:   float64(h.sys.Engine.Now()),
-		OpSeconds: dur,
-	}
-	if opErr != nil {
-		resp.Error = opErr.Error()
-		resp.Code = controlplane.CodeForError(opErr)
-	}
-	return resp, dur
-}
-
-func classOf(op controlplane.Op) admit.Class {
-	switch op {
-	case controlplane.OpStatus, controlplane.OpMetrics:
-		return admit.ClassControl
-	case controlplane.OpOpen, controlplane.OpClose:
-		return admit.ClassLaunch
-	default:
-		return admit.ClassIO
-	}
-}
-
 // statusProbe models an operator dashboard polling status: answered
-// fresh when the executor is idle, from the snapshot cache when it is
-// busy (the server's graceful-degradation path), dropped only before the
-// first snapshot exists.
+// fresh when admit has a free slot (the read then holds it for its
+// service time), from the snapshot cache when it is busy (the server's
+// graceful-degradation path), dropped only before the first snapshot
+// exists.
 func (h *harness) statusProbe() {
 	h.res.CtlProbes++
-	switch {
-	case !h.execBusy:
-		h.startService(nil, controlplane.Request{Op: controlplane.OpStatus}, func(controlplane.Response) {})
+	if tk := h.adm.TryControl(h.vt()); tk != nil {
+		h.occupy(tk, h.cfg.CtlCost+h.cfg.APICost, func() {})
 		h.res.CtlFresh++
-	case h.cacheOK:
+	} else if h.cacheOK {
 		h.res.CtlStale++
-	default:
+	} else {
 		h.res.CtlDropped++
 	}
-	if next := h.now + h.cfg.StatusEvery; next < h.cfg.Duration {
+	if next := h.now() + h.cfg.StatusEvery; next < h.cfg.Duration {
 		h.schedule(next, h.statusProbe)
 	}
 }
@@ -493,11 +409,11 @@ func (c *loadClient) request(cfg Config) controlplane.Request {
 
 // clientIssue sends the client's current request (first attempt).
 func (h *harness) clientIssue(c *loadClient) {
-	if h.now >= h.cfg.Duration {
+	if h.now() >= h.cfg.Duration {
 		return
 	}
 	c.retries = 0
-	c.began = h.now
+	c.began = h.now()
 	h.clientAttempt(c)
 }
 
@@ -509,8 +425,8 @@ func (h *harness) clientAttempt(c *loadClient) {
 func (h *harness) clientDone(c *loadClient, resp controlplane.Response) {
 	if resp.OK {
 		h.res.OK++
-		h.lat.Observe(h.now - c.began)
-		if l := h.now - c.began; l > h.res.MaxS {
+		h.lat.Observe(h.now() - c.began)
+		if l := h.now() - c.began; l > h.res.MaxS {
 			h.res.MaxS = l
 		}
 		h.budget.Success()
@@ -523,8 +439,8 @@ func (h *harness) clientDone(c *loadClient, resp controlplane.Response) {
 			h.res.Retries++
 			hint := time.Duration(resp.RetryAfterS * float64(time.Second))
 			wait := c.policy.Backoff(c.retries, hint).Seconds()
-			h.schedule(h.now+wait, func() {
-				if h.now >= h.cfg.Duration {
+			h.schedule(h.now()+wait, func() {
+				if h.now() >= h.cfg.Duration {
 					return
 				}
 				h.clientAttempt(c)
@@ -559,10 +475,10 @@ func (h *harness) clientAdvance(c *loadClient, ok bool) {
 			think = failureBackoff
 		}
 	}
-	if h.now+think >= h.cfg.Duration {
+	if h.now()+think >= h.cfg.Duration {
 		return
 	}
-	h.schedule(h.now+think, func() { h.clientIssue(c) })
+	h.schedule(h.now()+think, func() { h.clientIssue(c) })
 }
 
 // startOpenLoop pre-opens the fleet outside the measured window, then
@@ -583,7 +499,7 @@ func (h *harness) startOpenLoop() error {
 	var arrive func()
 	t := 0.0
 	arrive = func() {
-		if h.now >= h.cfg.Duration {
+		if h.now() >= h.cfg.Duration {
 			return
 		}
 		cart := rng.Intn(h.cfg.Carts)
@@ -592,13 +508,13 @@ func (h *harness) startOpenLoop() error {
 		if rng.Float64() < h.cfg.ReadFrac {
 			op = controlplane.OpRead
 		}
-		began := h.now
+		began := h.now()
 		h.submit(conn, controlplane.Request{Op: op, Cart: cart, Bytes: h.cfg.Bytes},
 			func(resp controlplane.Response) {
 				if resp.OK {
 					h.res.OK++
-					h.lat.Observe(h.now - began)
-					if l := h.now - began; l > h.res.MaxS {
+					h.lat.Observe(h.now() - began)
+					if l := h.now() - began; l > h.res.MaxS {
 						h.res.MaxS = l
 					}
 				} else if resp.Code != controlplane.CodeServerBusy {

@@ -8,7 +8,7 @@
 //   - A token-bucket rate limiter bounds sustained admission rate.
 //     Control-class requests (status/metrics reads) bypass the bucket so
 //     observability survives overload.
-//   - A global in-flight cap plus a bounded waiting room replace
+//   - A global in-flight cap plus a bounded FIFO waiting room replace
 //     unbounded queueing: once MaxQueue waiters are parked, further
 //     requests are rejected immediately with Outcome.RetryAfter derived
 //     from the queue depth and a smoothed service-time estimate.
@@ -18,6 +18,12 @@
 //     BrownoutFrac of its capacity, launch-class requests (cart
 //     open/close — the multi-second operations) are rejected while
 //     cheaper IO continues to queue, and control reads still pass.
+//
+// The controller is the only gate on the executor: Done hands the freed
+// slot straight to the oldest waiter (signalling it through
+// Ticket.Ready and returning it, so a single-threaded caller can start
+// it), and TryControl lets a control read take a free slot without
+// queueing.
 //
 // Determinism contract: the controller never reads the wall clock, an
 // RNG, or the environment. Every method takes the caller's notion of
@@ -43,7 +49,8 @@ type Class int
 const (
 	// ClassControl: status/metrics reads. Never rate-limited, shed only
 	// when the waiting room is completely full (the server normally
-	// answers these from a cached snapshot without queueing at all).
+	// takes a free slot with TryControl or answers from a cached
+	// snapshot without queueing at all).
 	ClassControl Class = iota
 	// ClassIO: read/write against a docked cart.
 	ClassIO
@@ -109,12 +116,13 @@ func (r Reason) String() string {
 	}
 }
 
-// Options configures a Controller. The zero value is not useful; New
-// applies the documented defaults to zero fields.
+// Options configures a Controller. New applies the documented defaults
+// to zero fields, so the zero value is the default controller.
 type Options struct {
 	// MaxInFlight caps concurrently executing requests. The control
-	// plane's simulation executor is single-threaded, so its server uses
-	// 1; a sharded deployment would raise it. Default 1.
+	// plane's simulation executor is single-threaded, so its server
+	// rejects anything above 1; the load harness may model more
+	// executors. Default 1.
 	MaxInFlight int
 	// MaxQueue bounds the waiting room behind the executor. Arrivals
 	// beyond it are shed with ReasonQueueFull. Default 64.
@@ -179,9 +187,9 @@ type Outcome struct {
 	// Admitted: the request may proceed (immediately when Queued is
 	// false, after waiting for an executor slot when true).
 	Admitted bool
-	// Queued: the request was parked in the waiting room; the caller
-	// must call Started when it wins an executor slot or Abandon if it
-	// gives up waiting.
+	// Queued: the request was parked in the waiting room; it runs once
+	// Ticket.Ready is closed, or the caller calls Abandon if it gives up
+	// waiting.
 	Queued bool
 	// Reason explains a rejection (ReasonNone when admitted).
 	Reason Reason
@@ -198,7 +206,19 @@ type Ticket struct {
 	start  time.Time
 	queued bool
 	done   bool
+	ready  chan struct{}
 }
+
+// Ready is closed once the ticket holds an executor slot: at once for a
+// ticket admitted immediately, on promotion for a queued one.
+func (t *Ticket) Ready() <-chan struct{} { return t.ready }
+
+// readyNow is the Ready channel of tickets admitted straight to a slot.
+var readyNow = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // ErrTicketReused reports a ticket handed back twice.
 var ErrTicketReused = errors.New("admit: ticket already released")
@@ -237,8 +257,9 @@ type Controller struct {
 	mu sync.Mutex
 	//dhllint:guardedby mu
 	inflight int
+	// waiters is the FIFO waiting room, oldest first.
 	//dhllint:guardedby mu
-	queued int
+	waiters []*Ticket
 	//dhllint:guardedby mu
 	perConn map[int64]int
 	//dhllint:guardedby mu
@@ -299,7 +320,7 @@ func (c *Controller) refillLocked(now time.Time) {
 // the executor(s) to clear the current queue at the smoothed service
 // rate, clamped to [RetryAfterMin, RetryAfterMax]. Callers hold mu.
 func (c *Controller) retryAfterLocked() time.Duration {
-	backlog := float64(c.queued+c.inflight) * c.estService / float64(c.opt.MaxInFlight)
+	backlog := float64(len(c.waiters)+c.inflight) * c.estService / float64(c.opt.MaxInFlight)
 	d := time.Duration(backlog * float64(time.Second))
 	if d < c.opt.RetryAfterMin {
 		d = c.opt.RetryAfterMin
@@ -333,14 +354,14 @@ func (c *Controller) tokenRetryLocked() time.Duration {
 // brownoutLocked reports whether the queue has passed the brownout
 // threshold. Callers hold mu.
 func (c *Controller) brownoutLocked() bool {
-	return float64(c.queued) >= c.opt.BrownoutFrac*float64(c.opt.MaxQueue)
+	return float64(len(c.waiters)) >= c.opt.BrownoutFrac*float64(c.opt.MaxQueue)
 }
 
 // Arrive decides one request. conn identifies the requesting connection
 // for the per-connection cap (pass a negative value to opt out). The
 // returned Ticket is non-nil exactly when the outcome is Admitted; the
-// caller must hand it back via Done (after running) or Abandon (if it
-// gave up while queued).
+// caller runs the request once Ready is closed and hands the ticket back
+// via Done (after running) or Abandon (if it gave up waiting).
 func (c *Controller) Arrive(class Class, conn int64, now time.Time) (*Ticket, Outcome) {
 	if class < 0 || class >= numClasses {
 		class = ClassIO
@@ -362,12 +383,13 @@ func (c *Controller) Arrive(class Class, conn int64, now time.Time) (*Ticket, Ou
 
 	t := &Ticket{class: class, conn: conn, start: now}
 	if c.inflight < c.opt.MaxInFlight {
+		t.ready = readyNow
 		c.admitLocked(t, now)
 		return t, Outcome{Admitted: true}
 	}
 
 	// Executor saturated: queue or shed.
-	if c.queued >= c.opt.MaxQueue {
+	if len(c.waiters) >= c.opt.MaxQueue {
 		c.shed[class][ReasonQueueFull]++
 		return nil, Outcome{Reason: ReasonQueueFull, RetryAfter: c.retryAfterLocked()}
 	}
@@ -376,10 +398,27 @@ func (c *Controller) Arrive(class Class, conn int64, now time.Time) (*Ticket, Ou
 		return nil, Outcome{Reason: ReasonBrownout, RetryAfter: c.retryAfterLocked()}
 	}
 	t.queued = true
-	c.queued++
+	t.ready = make(chan struct{})
+	c.waiters = append(c.waiters, t)
 	c.everQueued[class]++
 	c.chargeLocked(t)
 	return t, Outcome{Admitted: true, Queued: true}
+}
+
+// TryControl takes a free executor slot for a control read without
+// queueing, returning nil when every slot is busy. The ticket bypasses
+// the token bucket and the per-connection cap, and its Done does not
+// feed the service-time estimate, so retry hints stay priced on IO and
+// launch work.
+func (c *Controller) TryControl(now time.Time) *Ticket {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inflight >= c.opt.MaxInFlight {
+		return nil
+	}
+	t := &Ticket{class: ClassControl, conn: -1, ready: readyNow}
+	c.admitLocked(t, now)
+	return t
 }
 
 // admitLocked moves a ticket straight to running. Callers hold mu.
@@ -388,6 +427,31 @@ func (c *Controller) admitLocked(t *Ticket, now time.Time) {
 	c.admitted[t.class]++
 	t.start = now
 	c.chargeLocked(t)
+}
+
+// releaseSlotLocked frees one executor slot and hands it to the oldest
+// waiter, whose service clock starts at now. It returns the promoted
+// ticket, or nil when nobody was waiting. Callers hold mu.
+func (c *Controller) releaseSlotLocked(now time.Time) *Ticket {
+	c.inflight--
+	if len(c.waiters) == 0 {
+		return nil
+	}
+	t := c.waiters[0]
+	c.dequeueLocked(0)
+	c.inflight++
+	c.admitted[t.class]++
+	t.start = now
+	close(t.ready)
+	return t
+}
+
+// dequeueLocked removes waiter i, keeping FIFO order. Callers hold mu.
+func (c *Controller) dequeueLocked(i int) {
+	c.waiters[i].queued = false
+	last := copy(c.waiters[i:], c.waiters[i+1:]) + i
+	c.waiters[last] = nil // do not pin the departed ticket
+	c.waiters = c.waiters[:last]
 }
 
 // chargeLocked spends a token and takes a per-conn slot. Callers hold mu.
@@ -415,65 +479,50 @@ func (c *Controller) releaseConnLocked(t *Ticket) {
 	}
 }
 
-// Started promotes a queued ticket to running once the caller wins an
-// executor slot; it restarts the ticket's service-time clock. A no-op
-// for tickets admitted immediately.
-func (c *Controller) Started(t *Ticket, now time.Time) {
-	if t == nil || !t.queued {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t.queued = false
-	c.queued--
-	c.inflight++
-	c.admitted[t.class]++
-	t.start = now
-}
-
-// Abandon releases a still-queued ticket whose caller gave up waiting
-// (request timeout). Abandoned requests count separately from sheds.
-func (c *Controller) Abandon(t *Ticket) error {
-	if t == nil {
-		return nil
-	}
+// Abandon releases a ticket whose caller gave up waiting (request
+// timeout). A still-queued ticket leaves the waiting room; one promoted
+// at the same instant gives its slot to the next waiter, which is
+// returned as Done would, so a timeout racing a promotion never leaks a
+// slot. Abandoned requests count separately from sheds.
+func (c *Controller) Abandon(t *Ticket, now time.Time) (*Ticket, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t.done {
-		return ErrTicketReused
+		return nil, ErrTicketReused
 	}
 	t.done = true
-	if t.queued {
-		t.queued = false
-		c.queued--
-	} else {
-		c.inflight--
-	}
 	c.abandoned[t.class]++
 	c.releaseConnLocked(t)
-	return nil
+	if !t.queued {
+		return c.releaseSlotLocked(now), nil
+	}
+	for i, w := range c.waiters {
+		if w == t {
+			c.dequeueLocked(i)
+			break
+		}
+	}
+	return nil, nil
 }
 
-// Done releases a running ticket and folds its service time into the
-// smoothed estimate that prices retry-after hints.
-func (c *Controller) Done(t *Ticket, now time.Time) error {
-	if t == nil {
-		return nil
-	}
+// Done releases a running ticket, folds its service time into the
+// smoothed estimate that prices retry-after hints (control tickets
+// excepted), and promotes the oldest waiter into the freed slot. It
+// returns the promoted ticket, or nil when nobody was waiting.
+func (c *Controller) Done(t *Ticket, now time.Time) (*Ticket, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t.done {
-		return ErrTicketReused
+		return nil, ErrTicketReused
 	}
 	t.done = true
-	c.inflight--
 	c.releaseConnLocked(t)
-	if dur := now.Sub(t.start).Seconds(); dur > 0 {
+	if dur := now.Sub(t.start).Seconds(); dur > 0 && t.class != ClassControl {
 		// EWMA with alpha 0.2: stable enough to price hints, fast
 		// enough to track a chaos-degraded service rate.
 		c.estService = 0.8*c.estService + 0.2*dur
 	}
-	return nil
+	return c.releaseSlotLocked(now), nil
 }
 
 // Snapshot returns the controller's ledger. Classes are listed in fixed
@@ -483,7 +532,7 @@ func (c *Controller) Snapshot() Stats {
 	defer c.mu.Unlock()
 	s := Stats{
 		InFlight:    c.inflight,
-		QueueDepth:  c.queued,
+		QueueDepth:  len(c.waiters),
 		Brownout:    c.brownoutLocked(),
 		EstServiceS: c.estService,
 	}

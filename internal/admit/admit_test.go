@@ -50,11 +50,19 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 		t.Errorf("shed outcome must carry a retry-after hint, got %v", o4.RetryAfter)
 	}
 
-	// Finish the runner; promote a waiter; room opens up.
-	if err := c.Done(t1, at(0.2)); err != nil {
+	// Finishing the runner promotes the oldest waiter; room opens up.
+	next, err := c.Done(t1, at(0.2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.Started(t2, at(0.2))
+	if next != t2 {
+		t.Fatalf("Done promoted %p, want the oldest waiter %p", next, t2)
+	}
+	select {
+	case <-t2.Ready():
+	default:
+		t.Fatal("promoted ticket's Ready channel still open")
+	}
 	_, o5 := c.Arrive(ClassIO, 5, at(0.2))
 	if !o5.Admitted {
 		t.Fatalf("slot freed, arrival should queue again: %+v", o5)
@@ -194,13 +202,13 @@ func TestAbandonReleasesQueueSlot(t *testing.T) {
 	if _, o := c.Arrive(ClassIO, -1, now); o.Admitted {
 		t.Fatal("queue full")
 	}
-	if err := c.Abandon(tq); err != nil {
-		t.Fatal(err)
+	if next, err := c.Abandon(tq, now); err != nil || next != nil {
+		t.Fatalf("abandon queued = %v, %v", next, err)
 	}
 	if _, o := c.Arrive(ClassIO, -1, now); !o.Admitted {
 		t.Errorf("abandon should free the queue slot: %+v", o)
 	}
-	if err := c.Abandon(tq); err != ErrTicketReused {
+	if _, err := c.Abandon(tq, now); err != ErrTicketReused {
 		t.Errorf("double release = %v, want ErrTicketReused", err)
 	}
 	if got := c.Snapshot().Classes[int(ClassIO)].Abandoned; got != 1 {
@@ -243,6 +251,113 @@ func contains(s, sub string) bool {
 	return false
 }
 
+// TestPromotionIsFIFO: Done hands the slot to waiters in arrival order,
+// skipping abandoned ones, and starts each one's service clock at the
+// Done that promoted it.
+func TestPromotionIsFIFO(t *testing.T) {
+	c := New(Options{MaxInFlight: 1, MaxQueue: 8, ServiceTimeHint: time.Second})
+	run, _ := c.Arrive(ClassIO, -1, at(0))
+	var waiters []*Ticket
+	for i := 0; i < 4; i++ {
+		tk, o := c.Arrive(ClassIO, -1, at(0))
+		if !o.Queued {
+			t.Fatalf("arrival %d should queue: %+v", i, o)
+		}
+		select {
+		case <-tk.Ready():
+			t.Fatalf("queued ticket %d already ready", i)
+		default:
+		}
+		waiters = append(waiters, tk)
+	}
+	if _, err := c.Abandon(waiters[1], at(0)); err != nil {
+		t.Fatal(err)
+	}
+	want := []*Ticket{waiters[0], waiters[2], waiters[3], nil}
+	for i, w := range want {
+		next, err := c.Done(run, at(float64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next != w {
+			t.Fatalf("promotion %d = %p, want %p", i, next, w)
+		}
+		run = next
+	}
+	// Each promoted ticket ran exactly 1s: the estimate converges from
+	// the 1s hint without moving.
+	s := c.Snapshot()
+	if s.EstServiceS != 1 || s.InFlight != 0 || s.QueueDepth != 0 {
+		t.Errorf("snapshot = %+v", s)
+	}
+	if io := s.Classes[int(ClassIO)]; io.Admitted != 4 || io.Queued != 4 || io.Abandoned != 1 {
+		t.Errorf("ledger = %+v", io)
+	}
+}
+
+// TestTryControlTakesOnlyAFreeSlot: a control read gets the slot when it
+// is free, never queues, and does not move the service estimate.
+func TestTryControlTakesOnlyAFreeSlot(t *testing.T) {
+	c := New(Options{MaxInFlight: 1, PerConn: 1, Rate: 1, Burst: 1, ServiceTimeHint: time.Second})
+	ctl := c.TryControl(at(0))
+	if ctl == nil {
+		t.Fatal("free slot refused")
+	}
+	if c.TryControl(at(0)) != nil {
+		t.Error("second control read took a busy slot")
+	}
+	io, o := c.Arrive(ClassIO, 1, at(0))
+	if !o.Queued {
+		t.Fatalf("IO during a control read should queue: %+v", o)
+	}
+	if next, _ := c.Done(ctl, at(5)); next != io {
+		t.Fatal("control Done did not promote the waiting IO")
+	}
+	s := c.Snapshot()
+	if s.EstServiceS != 1 {
+		t.Errorf("control service fed the estimate: %v", s.EstServiceS)
+	}
+	if got := s.Classes[int(ClassControl)].Admitted; got != 1 {
+		t.Errorf("control admitted = %d, want 1", got)
+	}
+}
+
+// TestAbandonRacingPromotion: a waiter whose timeout fires while Done
+// promotes it must never leak the slot — Abandon on a just-promoted
+// ticket hands the slot on. Run under -race.
+func TestAbandonRacingPromotion(t *testing.T) {
+	c := New(Options{MaxInFlight: 1, MaxQueue: 64})
+	const rounds = 500
+	for r := 0; r < rounds; r++ {
+		run, _ := c.Arrive(ClassIO, -1, at(0))
+		a, _ := c.Arrive(ClassIO, -1, at(0))
+		b, _ := c.Arrive(ClassIO, -1, at(0))
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); c.Done(run, at(1)) }()
+		// a's timer fires at the same instant it may be promoted.
+		go func() { defer wg.Done(); c.Abandon(a, at(1)) }()
+		wg.Wait()
+		// Either way b now holds the slot (promoted by Done or handed on
+		// by Abandon), and finishing it drains the controller.
+		select {
+		case <-b.Ready():
+		default:
+			t.Fatalf("round %d: slot leaked, b never promoted: %+v", r, c.Snapshot())
+		}
+		if next, err := c.Done(b, at(2)); err != nil || next != nil {
+			t.Fatalf("round %d: done b = %v, %v", r, next, err)
+		}
+	}
+	s := c.Snapshot()
+	if s.InFlight != 0 || s.QueueDepth != 0 {
+		t.Errorf("leaked slots: %+v", s)
+	}
+	if io := s.Classes[int(ClassIO)]; io.Abandoned != rounds {
+		t.Errorf("abandoned = %d, want %d", io.Abandoned, rounds)
+	}
+}
+
 // TestConcurrentUse hammers the controller from many goroutines so the
 // race detector can vet the locking (the counts themselves are checked
 // for conservation).
@@ -262,10 +377,10 @@ func TestConcurrentUse(t *testing.T) {
 				}
 				if o.Queued {
 					if i%2 == 0 {
-						c.Abandon(tk)
+						c.Abandon(tk, now)
 						continue
 					}
-					c.Started(tk, now)
+					<-tk.Ready()
 				}
 				c.Done(tk, now.Add(time.Millisecond))
 			}

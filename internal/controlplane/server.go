@@ -27,10 +27,11 @@ type ServerOptions struct {
 	// complete request frame (including sitting idle between requests)
 	// before it is dropped; 0 disables the deadline.
 	ReadTimeout time.Duration
-	// RequestTimeout bounds how long one admitted request may wait for
-	// the simulation (which serialises all clients) plus execute; a
-	// request that cannot acquire the simulation in time is answered
-	// with CodeServerBusy instead of queueing unboundedly. 0 disables.
+	// RequestTimeout bounds how long one queued request may wait in the
+	// admission queue for the simulation (which serialises all
+	// clients); a request still waiting when it expires is abandoned
+	// and answered with CodeServerBusy. 0 waits without a bound (the
+	// queue itself stays bounded by Admission.MaxQueue).
 	RequestTimeout time.Duration
 	// DrainTimeout bounds Close's graceful wait for in-flight
 	// connections; connections still open when it expires are forcibly
@@ -45,9 +46,11 @@ type ServerOptions struct {
 	// disables the cap.
 	MaxConns int
 	// Admission configures the overload controller (bounded queue,
-	// token bucket, priority classes, brownout — see internal/admit).
-	// nil disables admission control, leaving only RequestTimeout.
-	Admission *admit.Options
+	// token bucket, priority classes, brownout — see internal/admit),
+	// the only gate on the simulation. The zero value means admit's
+	// defaults; MaxInFlight above 1 is rejected because the simulation
+	// is single-threaded.
+	Admission admit.Options
 	// Clock supplies wall time for admission control, retry-after
 	// hints, and snapshot aging; nil means time.Now. Injected so the
 	// overload machinery is testable on a deterministic clock.
@@ -56,31 +59,29 @@ type ServerOptions struct {
 
 // DefaultServerOptions is the hardened default: 30 s frame deadline,
 // 10 s request budget, 5 s shutdown drain, 1 MiB frame cap, and
-// admission control with a 64-deep bounded queue.
+// admit's default admission control (one executor slot, a 64-deep
+// bounded queue).
 func DefaultServerOptions() ServerOptions {
 	return ServerOptions{
 		ReadTimeout:     30 * time.Second,
 		RequestTimeout:  10 * time.Second,
 		DrainTimeout:    5 * time.Second,
 		MaxRequestBytes: 1 << 20,
-		Admission:       &admit.Options{MaxInFlight: 1, MaxQueue: 64},
 	}
 }
 
 // Server serves the §III-D API over TCP for one DHL deployment. The
-// underlying simulation is single-threaded; a capacity-1 semaphore
-// serialises client operations (the DHL scheduler itself serialises
-// physical resources). Overload protection happens before the semaphore:
-// the admission controller bounds the waiting room and sheds the excess
-// with retry-after hints, and status/metrics reads are served from a
-// cached snapshot whenever the simulation is busy, so observability
-// never queues behind the workload.
+// underlying simulation is single-threaded, and the admission controller
+// is the one gate on it: its single executor slot serialises client
+// operations (the DHL scheduler itself serialises physical resources),
+// its bounded FIFO queue holds the waiters, and it sheds the excess
+// with retry-after hints. Status/metrics reads take the slot only when
+// it is free and otherwise answer from a cached snapshot, so
+// observability never queues behind the workload.
 type Server struct {
 	sys *dhlsys.System
 	opt ServerOptions
 	adm *admit.Controller
-
-	sem chan struct{} // capacity 1: holds the simulation
 
 	ln     net.Listener
 	wg     sync.WaitGroup
@@ -100,9 +101,9 @@ type Server struct {
 	severed int
 
 	cacheMu sync.Mutex
-	// The snapshot cache: refreshed after every simulation-holding
-	// request, served to status/metrics reads while the simulation is
-	// saturated (graceful degradation instead of queueing).
+	// The snapshot cache: refreshed after every slot-holding request,
+	// served to status/metrics reads while the simulation is saturated
+	// (graceful degradation instead of queueing).
 	//dhllint:guardedby cacheMu
 	cacheStats *StatsJSON
 	//dhllint:guardedby cacheMu
@@ -132,27 +133,21 @@ func NewServerWithOptions(sys *dhlsys.System, opt ServerOptions) (*Server, error
 	if opt.MaxRequestBytes < 0 || opt.MaxConns < 0 {
 		return nil, errors.New("controlplane: limits must be non-negative")
 	}
-	s := &Server{
+	if opt.Admission.MaxInFlight > 1 {
+		return nil, fmt.Errorf("controlplane: Admission.MaxInFlight %d > 1: the simulation is single-threaded",
+			opt.Admission.MaxInFlight)
+	}
+	return &Server{
 		sys:    sys,
 		opt:    opt,
-		sem:    make(chan struct{}, 1),
+		adm:    admit.New(opt.Admission),
 		closed: make(chan struct{}),
 		conns:  make(map[net.Conn]struct{}),
-	}
-	if opt.Admission != nil {
-		s.adm = admit.New(*opt.Admission)
-	}
-	return s, nil
+	}, nil
 }
 
-// Admission exposes the admission controller's ledger (zero Stats when
-// admission control is disabled).
-func (s *Server) Admission() admit.Stats {
-	if s.adm == nil {
-		return admit.Stats{}
-	}
-	return s.adm.Snapshot()
-}
+// Admission exposes the admission controller's ledger.
+func (s *Server) Admission() admit.Stats { return s.adm.Snapshot() }
 
 // Severed reports how many connections Close had to sever after the
 // drain deadline expired.
@@ -336,11 +331,6 @@ func (s *Server) serveConn(connID int64, conn net.Conn) {
 	br := bufio.NewReader(conn)
 	enc := json.NewEncoder(conn)
 	for {
-		select {
-		case <-s.closed:
-			return // drain: finish between requests, never mid-request
-		default:
-		}
 		if s.opt.ReadTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.opt.ReadTimeout)); err != nil {
 				return
@@ -371,29 +361,20 @@ func (s *Server) serveConn(connID int64, conn net.Conn) {
 		if err := enc.Encode(s.handle(connID, req)); err != nil {
 			return
 		}
+		// Drain: finish between requests, never mid-request. Checking
+		// only after a response keeps a connection accepted just before
+		// Close reading its pending frame, so a straggler that never
+		// completes it is severed (and counted) at the drain deadline.
+		select {
+		case <-s.closed:
+			return
+		default:
+		}
 	}
 }
 
-// acquire takes the simulation semaphore, bounded by RequestTimeout.
-func (s *Server) acquire() bool {
-	if s.opt.RequestTimeout <= 0 {
-		s.sem <- struct{}{}
-		return true
-	}
-	t := time.NewTimer(s.opt.RequestTimeout)
-	defer t.Stop()
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-func (s *Server) release() { <-s.sem }
-
-// classOf maps an op to its admission priority class.
-func classOf(op Op) admit.Class {
+// ClassOf maps an op to its admission priority class.
+func ClassOf(op Op) admit.Class {
 	switch op {
 	case OpStatus, OpMetrics:
 		return admit.ClassControl
@@ -423,64 +404,74 @@ func (s *Server) handle(connID int64, req Request) Response {
 	if req.Op == OpStatus || req.Op == OpMetrics {
 		return s.handleControl(req)
 	}
-
-	var tk *admit.Ticket
-	if s.adm != nil {
-		t, out := s.adm.Arrive(classOf(req.Op), connID, s.now())
-		if !out.Admitted {
-			return busyResponse("overloaded: "+out.Reason.String(), out.RetryAfter)
-		}
-		tk = t
-	}
-	if !s.acquire() {
-		if tk != nil {
-			s.adm.Abandon(tk)
-		}
-		return busyResponse(
-			fmt.Sprintf("simulation busy for %v", s.opt.RequestTimeout),
-			s.opt.RequestTimeout)
-	}
-	if tk != nil {
-		s.adm.Started(tk, s.now())
-	}
-	resp := s.executeSim(req)
-	s.refreshCache()
-	s.release()
-	if tk != nil {
-		s.adm.Done(tk, s.now())
-	}
-	return resp
+	return s.admitAndRun(connID, req, "")
 }
 
-// handleControl answers status/metrics. Fast path: the simulation is
-// free, serve fresh and refresh the cache. Saturated path: serve the
-// cached snapshot (stale but answerable — graceful degradation). Only a
-// cold cache falls back to waiting for the simulation.
+// handleControl answers status/metrics in three steps: take a free slot
+// and answer fresh; otherwise answer from the cached snapshot (stale but
+// answerable — graceful degradation); only a cold cache queues for the
+// simulation. Control reads pass conn -1, outside the per-connection cap.
 func (s *Server) handleControl(req Request) Response {
-	select {
-	case s.sem <- struct{}{}:
-		resp := s.freshControl(req)
-		s.refreshCache()
-		s.release()
-		return resp
-	default:
+	if tk := s.adm.TryControl(s.now()); tk != nil {
+		return s.run(tk, req)
 	}
 	if resp, ok := s.cachedControl(req); ok {
 		return resp
 	}
-	if !s.acquire() {
+	return s.admitAndRun(-1, req, " and no snapshot cached yet")
+}
+
+// admitAndRun passes req through admission, waits up to RequestTimeout
+// for a queued ticket's slot (abandoning it if the timer wins), and runs
+// it. busyDetail extends the timeout reply's message.
+func (s *Server) admitAndRun(conn int64, req Request, busyDetail string) Response {
+	tk, out := s.adm.Arrive(ClassOf(req.Op), conn, s.now())
+	if !out.Admitted {
+		return busyResponse("overloaded: "+out.Reason.String(), out.RetryAfter)
+	}
+	if out.Queued && !s.await(tk) {
 		return busyResponse(
-			fmt.Sprintf("simulation busy for %v and no snapshot cached yet", s.opt.RequestTimeout),
+			fmt.Sprintf("simulation busy for %v%s", s.opt.RequestTimeout, busyDetail),
 			s.opt.RequestTimeout)
 	}
-	resp := s.freshControl(req)
+	return s.run(tk, req)
+}
+
+// await blocks until a queued ticket is promoted to the slot, or
+// abandons it once RequestTimeout expires.
+func (s *Server) await(tk *admit.Ticket) bool {
+	if s.opt.RequestTimeout <= 0 {
+		<-tk.Ready()
+		return true
+	}
+	t := time.NewTimer(s.opt.RequestTimeout)
+	defer t.Stop()
+	select {
+	case <-tk.Ready():
+		return true
+	case <-t.C:
+		// A promotion racing the timer is handed on by Abandon.
+		s.adm.Abandon(tk, s.now())
+		return false
+	}
+}
+
+// run executes req while tk holds the simulation's slot, refreshes the
+// snapshot cache, and releases the slot to the next waiter.
+func (s *Server) run(tk *admit.Ticket, req Request) Response {
+	var resp Response
+	if req.Op == OpStatus || req.Op == OpMetrics {
+		resp = s.freshControl(req)
+	} else {
+		resp = ExecuteSim(s.sys, req)
+	}
 	s.refreshCache()
-	s.release()
+	s.adm.Done(tk, s.now())
 	return resp
 }
 
 // freshControl builds a status/metrics response from the live
-// simulation. Callers hold the simulation semaphore.
+// simulation. Callers hold the admission slot.
 func (s *Server) freshControl(req Request) Response {
 	if req.Op == OpMetrics {
 		if s.sys.Telemetry() == nil {
@@ -510,7 +501,7 @@ func (s *Server) freshControl(req Request) Response {
 }
 
 // refreshCache publishes the snapshot served to control reads during
-// saturation. Callers hold the simulation semaphore.
+// saturation. Callers hold the admission slot.
 func (s *Server) refreshCache() {
 	st := statsJSON(s.sys.Report())
 	var snap *telemetry.Snapshot
@@ -574,29 +565,31 @@ func (s *Server) cachedControl(req Request) (Response, bool) {
 	return resp, true
 }
 
-// executeSim runs one simulation op. Callers hold the simulation
-// semaphore.
-func (s *Server) executeSim(req Request) Response {
-	start := s.sys.Engine.Now()
+// ExecuteSim runs one open/close/read/write op on sys to completion and
+// builds its reply; OpSeconds is the simulated time the op took. The
+// caller must own sys exclusively for the call (the server holds its
+// admission slot; the load harness is single-threaded).
+func ExecuteSim(sys *dhlsys.System, req Request) Response {
+	start := sys.Engine.Now()
 	var opErr error
 	id := track.CartID(req.Cart)
 	switch req.Op {
 	case OpOpen:
-		s.sys.Open(id, func(err error) { opErr = err })
+		sys.Open(id, func(err error) { opErr = err })
 	case OpClose:
-		s.sys.Close(id, func(err error) { opErr = err })
+		sys.Close(id, func(err error) { opErr = err })
 	case OpRead:
-		s.sys.Read(id, bytesOf(req), func(_ units.Seconds, err error) { opErr = err })
+		sys.Read(id, bytesOf(req), func(_ units.Seconds, err error) { opErr = err })
 	case OpWrite:
-		s.sys.Write(id, bytesOf(req), func(_ units.Seconds, err error) { opErr = err })
+		sys.Write(id, bytesOf(req), func(_ units.Seconds, err error) { opErr = err })
 	}
-	if _, err := s.sys.Run(); err != nil {
-		return Response{OK: false, Error: err.Error(), Code: CodeInternal, SimTime: float64(s.sys.Engine.Now())}
+	if _, err := sys.Run(); err != nil {
+		return Response{OK: false, Error: err.Error(), Code: CodeInternal, SimTime: float64(sys.Engine.Now())}
 	}
 	resp := Response{
 		OK:        opErr == nil,
-		SimTime:   float64(s.sys.Engine.Now()),
-		OpSeconds: float64(s.sys.Engine.Now() - start),
+		SimTime:   float64(sys.Engine.Now()),
+		OpSeconds: float64(sys.Engine.Now() - start),
 	}
 	if opErr != nil {
 		resp.Error = opErr.Error()
@@ -643,9 +636,8 @@ const (
 	// CodeBadRequest: the request failed validation, was malformed, or
 	// exceeded the frame cap.
 	CodeBadRequest = "bad-request"
-	// CodeServerBusy: the request was shed by admission control or could
-	// not acquire the simulation in time; retry_after_s carries the
-	// backoff hint.
+	// CodeServerBusy: the request was shed by admission control or timed
+	// out in its queue; retry_after_s carries the backoff hint.
 	CodeServerBusy = "server-busy"
 	// CodeInternal: the simulation engine itself failed.
 	CodeInternal = "internal"

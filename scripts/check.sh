@@ -30,16 +30,12 @@ go run ./cmd/dhllint ./...
 echo "== dhllint concflow gate (lockcheck, lockorder, goescape)"
 go run ./cmd/dhllint -rules lockcheck,lockorder,goescape ./...
 
-# The single-slot SetTracer shim is deprecated; everything outside its home
-# package (the shim itself and its dedicated regression tests) must use
-# AddTracer. Keeps new call sites from re-adopting the legacy API.
-echo "== no new SetTracer callers"
-if grep -rn "SetTracer" --include="*.go" . | grep -v "^./internal/sim/"; then
-    echo "deprecated sim.SetTracer used outside internal/sim; migrate to AddTracer" >&2
-    exit 1
-fi
-
 echo "== go test -race ./..."
 go test -race ./...
+
+# The admission gate, the server around it, the retrying client and the
+# load harness, repeated so rare interleavings on a multi-core host show.
+echo "== go test -race -count=20 (admission and control plane)"
+go test -race -count=20 ./internal/admit ./internal/controlplane ./internal/cpclient ./cmd/dhlload
 
 echo "OK: vet, gofmt, build, dhllint, race-clean tests"
