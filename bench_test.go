@@ -783,6 +783,51 @@ func BenchmarkCampusSimulation(b *testing.B) {
 	}
 }
 
+// campusRouter builds a router over the default campus together with a
+// recompute's inputs: every node and edge up except junction J1, and
+// entry-queue depths of 0–4 carts.
+func campusRouter(tb testing.TB, workers int) (*tubenet.Router, tubenet.Liveness, []int) {
+	tb.Helper()
+	topo, err := tubenet.NewCampus(tubenet.DefaultCampusConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base, err := topo.TransitTimes(tubenet.DefaultCartMass, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := tubenet.NewRouter(topo, base, 0.25, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	live := tubenet.Liveness{NodeUp: make([]bool, topo.NumNodes()), EdgeUp: make([]bool, topo.NumEdges())}
+	for i := range live.NodeUp {
+		live.NodeUp[i] = i != 1
+	}
+	for i := range live.EdgeUp {
+		live.EdgeUp[i] = true
+	}
+	queues := make([]int, topo.NumEdges())
+	for e := range queues {
+		queues[e] = (e * 3) % 5
+	}
+	return r, live, queues
+}
+
+// BenchmarkRouterRecompute times one full route-table recompute on the
+// default campus at one worker: the per-epoch cost of the router.
+func BenchmarkRouterRecompute(b *testing.B) {
+	r, live, queues := campusRouter(b, 1)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.Recompute(ctx, live, queues); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCampusDispatchSteadyState isolates the per-event cost of the
 // tubenet dispatch hot loop (depart/arrive/dock/dwell), steady-state, no
 // chaos, no epochs — the path the zero-alloc budget governs.

@@ -13,6 +13,7 @@ package repro
 // which would fail the zero budgets without measuring the model.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dhlsys"
@@ -219,6 +220,29 @@ func TestHotPathAllocsLaunchLoopTelemetry(t *testing.T) {
 	}
 	if set.Spans.NumSpans() == 0 {
 		t.Fatal("telemetry recorded no spans")
+	}
+}
+
+// TestHotPathAllocsRouterRecompute pins the steady-state route-table
+// recompute on the default campus at one worker, with congestion and a
+// dead junction. The scratch buffers and both tables are reused, so the
+// budget is the two allocations of the sweep.Map call itself: the
+// per-source closure and the worker-count option.
+func TestHotPathAllocsRouterRecompute(t *testing.T) {
+	r, live, queues := campusRouter(t, 1)
+	ctx := context.Background()
+	failures := 0
+	recompute := func() {
+		if err := r.Recompute(ctx, live, queues); err != nil {
+			failures++
+		}
+	}
+	recompute() // the second table is built on the second recompute
+	if n := testing.AllocsPerRun(100, recompute); n > 2 {
+		t.Errorf("router recompute: %.1f allocs/run, want ≤ 2", n)
+	}
+	if failures != 0 {
+		t.Fatalf("%d recomputes failed", failures)
 	}
 }
 

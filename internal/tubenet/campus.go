@@ -537,7 +537,7 @@ func (c *Campus) admissible(e EdgeID) bool {
 	if !c.edgeUp[e] {
 		return false
 	}
-	ed := c.topo.Edge(e)
+	ed := &c.topo.edges[e]
 	if ed.Capacity <= 0 || c.edgeOcc[e] >= ed.Capacity {
 		return false
 	}
@@ -550,7 +550,7 @@ func (c *Campus) admissible(e EdgeID) bool {
 // lineFree reports whether ed's span is clear on its line.
 //
 //dhllint:hotpath
-func (c *Campus) lineFree(ed Edge) bool {
+func (c *Campus) lineFree(ed *Edge) bool {
 	for _, h := range c.lineOcc[ed.Line] {
 		if h.sp.Overlaps(ed.Span) {
 			return false
@@ -577,7 +577,7 @@ func (c *Campus) enqueueEdge(e EdgeID, ci int32) {
 //dhllint:hotpath
 func (c *Campus) enterEdge(ci int32, e EdgeID) {
 	ct := &c.carts[ci]
-	ed := c.topo.Edge(e)
+	ed := &c.topo.edges[e]
 	c.edgeOcc[e]++
 	c.edgeOccupants[e] = append(c.edgeOccupants[e], ci)
 	if ed.Line != NoLine {
@@ -607,7 +607,7 @@ func (c *Campus) enterEdge(ci int32, e EdgeID) {
 func (c *Campus) arrive(ci int32) {
 	ct := &c.carts[ci]
 	e := ct.edge
-	v := c.topo.Edge(e).To
+	v := c.topo.edges[e].To
 	c.tel.spans.RecordSpan(ct.trackID, c.tel.idTransit, ct.entryT, c.eng.Now())
 	c.releaseEdge(e, ci)
 	ct.edge = NoEdge
@@ -631,7 +631,7 @@ func (c *Campus) arrive(ci int32) {
 func (c *Campus) releaseEdge(e EdgeID, ci int32) {
 	c.edgeOcc[e]--
 	c.removeOccupant(e, ci)
-	if l := c.topo.Edge(e).Line; l != NoLine {
+	if l := c.topo.edges[e].Line; l != NoLine {
 		c.releaseLine(l, e)
 		c.retryLine(l)
 		return

@@ -34,8 +34,10 @@ echo "== go test -race ./..."
 go test -race ./...
 
 # The admission gate, the server around it, the retrying client and the
-# load harness, repeated so rare interleavings on a multi-core host show.
-echo "== go test -race -count=20 (admission and control plane)"
-go test -race -count=20 ./internal/admit ./internal/controlplane ./internal/cpclient ./cmd/dhlload
+# load harness, plus the sweep pool and the router whose cost, usability
+# and table buffers its workers read and write, repeated so rare
+# interleavings on a multi-core host show.
+echo "== go test -race -count=20 (admission, control plane, sweep, router)"
+go test -race -count=20 ./internal/admit ./internal/controlplane ./internal/cpclient ./cmd/dhlload ./internal/sweep ./internal/tubenet
 
 echo "OK: vet, gofmt, build, dhllint, race-clean tests"
