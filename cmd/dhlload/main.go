@@ -57,10 +57,9 @@ func main() {
 		statusEv = flag.Float64("status-every", 0.5, "control-probe period, virtual seconds (0 disables)")
 		reqTO    = flag.Float64("timeout", 10, "queued-request abandon timeout, virtual seconds")
 
-		maxInFlight = flag.Int("max-inflight", 1, "admission: concurrent executor slots")
-		maxQueue    = flag.Int("max-queue", 64, "admission: bounded waiting room")
-		admitRate   = flag.Float64("admit-rate", 0, "admission: token-bucket rate limit, req/s (0 off)")
-		perConn     = flag.Int("per-conn", 0, "admission: outstanding-request cap per connection (0 off)")
+		maxQueue  = flag.Int("max-queue", 64, "admission: bounded waiting room")
+		admitRate = flag.Float64("admit-rate", 0, "admission: token-bucket rate limit, req/s (0 off)")
+		perConn   = flag.Int("per-conn", 0, "admission: outstanding-request cap per connection (0 off)")
 
 		benchOut = flag.String("bench-out", "", "write the result as benchmark JSON to this file")
 		jsonOut  = flag.Bool("json", false, "print the result as JSON instead of the text report")
@@ -90,10 +89,9 @@ func main() {
 		StatusEvery:    *statusEv,
 		RequestTimeout: *reqTO,
 		Admission: admit.Options{
-			MaxInFlight: *maxInFlight,
-			MaxQueue:    *maxQueue,
-			Rate:        *admitRate,
-			PerConn:     *perConn,
+			MaxQueue: *maxQueue,
+			Rate:     *admitRate,
+			PerConn:  *perConn,
 		},
 		Retry: cpclient.RetryOptions{Seed: *seed},
 	}

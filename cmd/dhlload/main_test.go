@@ -33,7 +33,7 @@ func overloadConfig() Config {
 	return Config{
 		Mode: "closed", Clients: 48, Duration: 30, Seed: 9,
 		Think: 0.1, StatusEvery: 0.5,
-		Admission: admit.Options{MaxInFlight: 1, MaxQueue: 8},
+		Admission: admit.Options{MaxQueue: 8},
 	}
 }
 
@@ -107,7 +107,7 @@ func TestOpenLoopOverloadGoodput(t *testing.T) {
 	base := Config{
 		Mode: "open", Clients: 16, Carts: 4, Duration: 20, Seed: 3,
 		Rate: 400, StatusEvery: 0.5,
-		Admission: admit.Options{MaxInFlight: 1, MaxQueue: 8},
+		Admission: admit.Options{MaxQueue: 8},
 	}
 	res := runHarness(t, base)
 	if res.ShedBusy == 0 {
@@ -133,7 +133,7 @@ func TestChaosComposition(t *testing.T) {
 	cfg := Config{
 		Mode: "closed", Clients: 24, Duration: 20, Seed: 5,
 		Think: 0.2, StatusEvery: 0.5, Chaos: "rough-day",
-		Admission: admit.Options{MaxInFlight: 1, MaxQueue: 8},
+		Admission: admit.Options{MaxQueue: 8},
 	}
 	a := runHarness(t, cfg)
 	if a.Faults == 0 {
@@ -187,7 +187,7 @@ func TestBenchOutputDeterministic(t *testing.T) {
 func TestRateLimitedAdmission(t *testing.T) {
 	cfg := Config{
 		Mode: "open", Clients: 8, Carts: 2, Duration: 20, Seed: 2, Rate: 100,
-		Admission: admit.Options{MaxInFlight: 4, MaxQueue: 16, Rate: 10, Burst: 5},
+		Admission: admit.Options{MaxQueue: 16, Rate: 10, Burst: 5},
 	}
 	res := runHarness(t, cfg)
 	io := res.Admission.Classes[int(admit.ClassIO)]

@@ -8,7 +8,7 @@
 //   - A token-bucket rate limiter bounds sustained admission rate.
 //     Control-class requests (status/metrics reads) bypass the bucket so
 //     observability survives overload.
-//   - A global in-flight cap plus a bounded FIFO waiting room replace
+//   - One executor slot plus a bounded FIFO waiting room replace
 //     unbounded queueing: once MaxQueue waiters are parked, further
 //     requests are rejected immediately with Outcome.RetryAfter derived
 //     from the queue depth and a smoothed service-time estimate.
@@ -118,12 +118,10 @@ func (r Reason) String() string {
 
 // Options configures a Controller. New applies the documented defaults
 // to zero fields, so the zero value is the default controller.
+//
+// The controller has one executor slot: the simulation it guards is
+// single-threaded, so at most one admitted request runs at a time.
 type Options struct {
-	// MaxInFlight caps concurrently executing requests. The control
-	// plane's simulation executor is single-threaded, so its server
-	// rejects anything above 1; the load harness may model more
-	// executors. Default 1.
-	MaxInFlight int
 	// MaxQueue bounds the waiting room behind the executor. Arrivals
 	// beyond it are shed with ReasonQueueFull. Default 64.
 	MaxQueue int
@@ -152,9 +150,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 1
-	}
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 64
 	}
@@ -185,7 +180,7 @@ func (o Options) withDefaults() Options {
 // Outcome is an admission decision.
 type Outcome struct {
 	// Admitted: the request may proceed (immediately when Queued is
-	// false, after waiting for an executor slot when true).
+	// false, after waiting for the executor slot when true).
 	Admitted bool
 	// Queued: the request was parked in the waiting room; it runs once
 	// Ticket.Ready is closed, or the caller calls Abandon if it gives up
@@ -209,11 +204,11 @@ type Ticket struct {
 	ready  chan struct{}
 }
 
-// Ready is closed once the ticket holds an executor slot: at once for a
+// Ready is closed once the ticket holds the executor slot: at once for a
 // ticket admitted immediately, on promotion for a queued one.
 func (t *Ticket) Ready() <-chan struct{} { return t.ready }
 
-// readyNow is the Ready channel of tickets admitted straight to a slot.
+// readyNow is the Ready channel of tickets admitted straight to the slot.
 var readyNow = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
@@ -317,10 +312,10 @@ func (c *Controller) refillLocked(now time.Time) {
 }
 
 // retryAfterLocked derives the shed hint from the backlog: the time for
-// the executor(s) to clear the current queue at the smoothed service
-// rate, clamped to [RetryAfterMin, RetryAfterMax]. Callers hold mu.
+// the executor to clear the current queue at the smoothed service rate,
+// clamped to [RetryAfterMin, RetryAfterMax]. Callers hold mu.
 func (c *Controller) retryAfterLocked() time.Duration {
-	backlog := float64(len(c.waiters)+c.inflight) * c.estService / float64(c.opt.MaxInFlight)
+	backlog := float64(len(c.waiters)+c.inflight) * c.estService
 	d := time.Duration(backlog * float64(time.Second))
 	if d < c.opt.RetryAfterMin {
 		d = c.opt.RetryAfterMin
@@ -382,7 +377,7 @@ func (c *Controller) Arrive(class Class, conn int64, now time.Time) (*Ticket, Ou
 	}
 
 	t := &Ticket{class: class, conn: conn, start: now}
-	if c.inflight < c.opt.MaxInFlight {
+	if c.inflight == 0 {
 		t.ready = readyNow
 		c.admitLocked(t, now)
 		return t, Outcome{Admitted: true}
@@ -405,15 +400,15 @@ func (c *Controller) Arrive(class Class, conn int64, now time.Time) (*Ticket, Ou
 	return t, Outcome{Admitted: true, Queued: true}
 }
 
-// TryControl takes a free executor slot for a control read without
-// queueing, returning nil when every slot is busy. The ticket bypasses
+// TryControl takes the executor slot for a control read without
+// queueing, returning nil when the slot is busy. The ticket bypasses
 // the token bucket and the per-connection cap, and its Done does not
 // feed the service-time estimate, so retry hints stay priced on IO and
 // launch work.
 func (c *Controller) TryControl(now time.Time) *Ticket {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inflight >= c.opt.MaxInFlight {
+	if c.inflight > 0 {
 		return nil
 	}
 	t := &Ticket{class: ClassControl, conn: -1, ready: readyNow}
@@ -429,7 +424,7 @@ func (c *Controller) admitLocked(t *Ticket, now time.Time) {
 	c.chargeLocked(t)
 }
 
-// releaseSlotLocked frees one executor slot and hands it to the oldest
+// releaseSlotLocked frees the executor slot and hands it to the oldest
 // waiter, whose service clock starts at now. It returns the promoted
 // ticket, or nil when nobody was waiting. Callers hold mu.
 func (c *Controller) releaseSlotLocked(now time.Time) *Ticket {

@@ -15,7 +15,7 @@ func at(s float64) time.Time {
 func TestDefaults(t *testing.T) {
 	c := New(Options{})
 	o := c.Options()
-	if o.MaxInFlight != 1 || o.MaxQueue != 64 {
+	if o.MaxQueue != 64 {
 		t.Errorf("defaults: %+v", o)
 	}
 	if o.BrownoutFrac != 0.5 || o.RetryAfterMin != 50*time.Millisecond {
@@ -24,7 +24,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 2})
+	c := New(Options{MaxQueue: 2})
 	now := at(0)
 
 	t1, o1 := c.Arrive(ClassIO, 1, now)
@@ -74,7 +74,7 @@ func TestImmediateAdmissionThenQueueThenShed(t *testing.T) {
 }
 
 func TestRetryAfterGrowsWithBacklog(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 100, ServiceTimeHint: time.Second})
+	c := New(Options{MaxQueue: 100, ServiceTimeHint: time.Second})
 	now := at(0)
 	c.Arrive(ClassIO, -1, now) // running
 	var prev time.Duration
@@ -82,7 +82,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 		c.Arrive(ClassIO, -1, now) // queue up
 	}
 	// Shed probes at increasing depth must see non-decreasing hints.
-	c2 := New(Options{MaxInFlight: 1, MaxQueue: 5, ServiceTimeHint: time.Second})
+	c2 := New(Options{MaxQueue: 5, ServiceTimeHint: time.Second})
 	c2.Arrive(ClassIO, -1, now)
 	for i := 0; i < 5; i++ {
 		c2.Arrive(ClassIO, -1, now)
@@ -103,7 +103,7 @@ func TestRetryAfterGrowsWithBacklog(t *testing.T) {
 
 func TestTokenBucketDeterministic(t *testing.T) {
 	run := func() []bool {
-		c := New(Options{MaxInFlight: 10, MaxQueue: 10, Rate: 2, Burst: 2})
+		c := New(Options{MaxQueue: 10, Rate: 2, Burst: 2})
 		var got []bool
 		// 10 arrivals at 0.25s spacing against a 2/s bucket of burst 2.
 		for i := 0; i < 10; i++ {
@@ -132,7 +132,7 @@ func TestTokenBucketDeterministic(t *testing.T) {
 }
 
 func TestControlClassBypassesRateLimit(t *testing.T) {
-	c := New(Options{MaxInFlight: 100, MaxQueue: 10, Rate: 1, Burst: 1})
+	c := New(Options{MaxQueue: 10, Rate: 1, Burst: 1})
 	now := at(0)
 	c.Arrive(ClassIO, -1, now) // drains the only token
 	if _, o := c.Arrive(ClassIO, -1, now); o.Admitted {
@@ -146,7 +146,7 @@ func TestControlClassBypassesRateLimit(t *testing.T) {
 }
 
 func TestBrownoutShedsLaunchFirst(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 10, BrownoutFrac: 0.5})
+	c := New(Options{MaxQueue: 10, BrownoutFrac: 0.5})
 	now := at(0)
 	c.Arrive(ClassIO, -1, now) // running
 	for i := 0; i < 5; i++ {   // queue to the brownout threshold
@@ -171,7 +171,7 @@ func TestBrownoutShedsLaunchFirst(t *testing.T) {
 }
 
 func TestPerConnCap(t *testing.T) {
-	c := New(Options{MaxInFlight: 10, MaxQueue: 10, PerConn: 2})
+	c := New(Options{MaxQueue: 10, PerConn: 2})
 	now := at(0)
 	t1, _ := c.Arrive(ClassIO, 7, now)
 	c.Arrive(ClassIO, 7, now)
@@ -192,7 +192,7 @@ func TestPerConnCap(t *testing.T) {
 }
 
 func TestAbandonReleasesQueueSlot(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 1})
+	c := New(Options{MaxQueue: 1})
 	now := at(0)
 	c.Arrive(ClassIO, -1, now)
 	tq, o := c.Arrive(ClassIO, -1, now)
@@ -255,7 +255,7 @@ func contains(s, sub string) bool {
 // skipping abandoned ones, and starts each one's service clock at the
 // Done that promoted it.
 func TestPromotionIsFIFO(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 8, ServiceTimeHint: time.Second})
+	c := New(Options{MaxQueue: 8, ServiceTimeHint: time.Second})
 	run, _ := c.Arrive(ClassIO, -1, at(0))
 	var waiters []*Ticket
 	for i := 0; i < 4; i++ {
@@ -298,7 +298,7 @@ func TestPromotionIsFIFO(t *testing.T) {
 // TestTryControlTakesOnlyAFreeSlot: a control read gets the slot when it
 // is free, never queues, and does not move the service estimate.
 func TestTryControlTakesOnlyAFreeSlot(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, PerConn: 1, Rate: 1, Burst: 1, ServiceTimeHint: time.Second})
+	c := New(Options{PerConn: 1, Rate: 1, Burst: 1, ServiceTimeHint: time.Second})
 	ctl := c.TryControl(at(0))
 	if ctl == nil {
 		t.Fatal("free slot refused")
@@ -326,7 +326,7 @@ func TestTryControlTakesOnlyAFreeSlot(t *testing.T) {
 // promotes it must never leak the slot — Abandon on a just-promoted
 // ticket hands the slot on. Run under -race.
 func TestAbandonRacingPromotion(t *testing.T) {
-	c := New(Options{MaxInFlight: 1, MaxQueue: 64})
+	c := New(Options{MaxQueue: 64})
 	const rounds = 500
 	for r := 0; r < rounds; r++ {
 		run, _ := c.Arrive(ClassIO, -1, at(0))
@@ -362,7 +362,7 @@ func TestAbandonRacingPromotion(t *testing.T) {
 // race detector can vet the locking (the counts themselves are checked
 // for conservation).
 func TestConcurrentUse(t *testing.T) {
-	c := New(Options{MaxInFlight: 4, MaxQueue: 8, PerConn: 3, Rate: 1e9, Burst: 1e9})
+	c := New(Options{MaxQueue: 8, PerConn: 3, Rate: 1e9, Burst: 1e9})
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	wg.Add(workers)

@@ -47,9 +47,9 @@ type ServerOptions struct {
 	MaxConns int
 	// Admission configures the overload controller (bounded queue,
 	// token bucket, priority classes, brownout — see internal/admit),
-	// the only gate on the simulation. The zero value means admit's
-	// defaults; MaxInFlight above 1 is rejected because the simulation
-	// is single-threaded.
+	// the only gate on the simulation, whose one executor slot matches
+	// the single-threaded simulation. The zero value means admit's
+	// defaults.
 	Admission admit.Options
 	// Clock supplies wall time for admission control, retry-after
 	// hints, and snapshot aging; nil means time.Now. Injected so the
@@ -101,19 +101,22 @@ type Server struct {
 	severed int
 
 	cacheMu sync.Mutex
-	// The snapshot cache: refreshed after every slot-holding request,
-	// served to status/metrics reads while the simulation is saturated
-	// (graceful degradation instead of queueing).
+	// cache is the last snapshot, taken after every slot-holding request
+	// and served to status/metrics reads while the simulation is
+	// saturated (graceful degradation instead of queueing); nil until the
+	// first request runs.
 	//dhllint:guardedby cacheMu
-	cacheStats *StatsJSON
-	//dhllint:guardedby cacheMu
-	cacheMetrics *telemetry.Snapshot
-	//dhllint:guardedby cacheMu
-	cacheSimTime float64
-	//dhllint:guardedby cacheMu
-	cacheAt time.Time
-	//dhllint:guardedby cacheMu
-	cacheOK bool
+	cache *snapshot
+}
+
+// snapshot is the simulation's observable state at the end of one
+// slot-holding request. It is immutable once published, so control
+// replies built from it need no lock and no copy.
+type snapshot struct {
+	stats   *StatsJSON
+	metrics *telemetry.Snapshot // nil when the system has no telemetry set
+	simTime float64
+	at      time.Time
 }
 
 // NewServer wraps a system with the default hardening options. The system
@@ -132,10 +135,6 @@ func NewServerWithOptions(sys *dhlsys.System, opt ServerOptions) (*Server, error
 	}
 	if opt.MaxRequestBytes < 0 || opt.MaxConns < 0 {
 		return nil, errors.New("controlplane: limits must be non-negative")
-	}
-	if opt.Admission.MaxInFlight > 1 {
-		return nil, fmt.Errorf("controlplane: Admission.MaxInFlight %d > 1: the simulation is single-threaded",
-			opt.Admission.MaxInFlight)
 	}
 	return &Server{
 		sys:    sys,
@@ -456,113 +455,72 @@ func (s *Server) await(tk *admit.Ticket) bool {
 	}
 }
 
-// run executes req while tk holds the simulation's slot, refreshes the
-// snapshot cache, and releases the slot to the next waiter.
+// run executes req while tk holds the simulation's slot, publishes the
+// snapshot the request leaves behind, and releases the slot to the next
+// waiter. A control read is answered from that snapshot after the slot is
+// released, so rendering its reply never holds up the simulation.
 func (s *Server) run(tk *admit.Ticket, req Request) Response {
+	control := req.Op == OpStatus || req.Op == OpMetrics
 	var resp Response
-	if req.Op == OpStatus || req.Op == OpMetrics {
-		resp = s.freshControl(req)
-	} else {
+	if !control {
 		resp = ExecuteSim(s.sys, req)
 	}
-	s.refreshCache()
+	snap := s.refreshCache()
 	s.adm.Done(tk, s.now())
-	return resp
-}
-
-// freshControl builds a status/metrics response from the live
-// simulation. Callers hold the admission slot.
-func (s *Server) freshControl(req Request) Response {
-	if req.Op == OpMetrics {
-		if s.sys.Telemetry() == nil {
-			return Response{
-				OK:      false,
-				Error:   "controlplane: system has no telemetry set",
-				Code:    CodeNoTelemetry,
-				SimTime: float64(s.sys.Engine.Now()),
-			}
-		}
-		return Response{
-			OK:      true,
-			SimTime: float64(s.sys.Engine.Now()),
-			Text:    telemetry.PrometheusText(s.sys.MetricsSnapshot()),
-		}
-	}
-	resp := Response{
-		OK:      true,
-		SimTime: float64(s.sys.Engine.Now()),
-		Stats:   statsJSON(s.sys.Report()),
-	}
-	if s.sys.Telemetry() != nil {
-		snap := s.sys.MetricsSnapshot()
-		resp.Metrics = &snap
+	if control {
+		return snap.control(req, false, 0)
 	}
 	return resp
 }
 
-// refreshCache publishes the snapshot served to control reads during
-// saturation. Callers hold the admission slot.
-func (s *Server) refreshCache() {
-	st := statsJSON(s.sys.Report())
-	var snap *telemetry.Snapshot
+// refreshCache takes and publishes the snapshot served to control reads.
+// Callers hold the admission slot.
+func (s *Server) refreshCache() *snapshot {
+	snap := &snapshot{
+		stats:   statsJSON(s.sys.Report()),
+		simTime: float64(s.sys.Engine.Now()),
+		at:      s.now(),
+	}
 	if s.sys.Telemetry() != nil {
 		m := s.sys.MetricsSnapshot()
-		snap = &m
+		snap.metrics = &m
 	}
-	simT := float64(s.sys.Engine.Now())
-	now := s.now()
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
-	s.cacheStats = st
-	s.cacheMetrics = snap
-	s.cacheSimTime = simT
-	s.cacheAt = now
-	s.cacheOK = true
+	s.cache = snap
+	return snap
 }
 
-// cachedControl serves a control read from the snapshot cache. The
-// cached values are replaced wholesale by refreshCache and never mutated
-// in place, so handing out shallow copies is safe.
+// cachedControl answers a control read from the last snapshot, flagged
+// stale with its age; false while no snapshot exists.
 func (s *Server) cachedControl(req Request) (Response, bool) {
 	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if !s.cacheOK {
+	snap := s.cache
+	s.cacheMu.Unlock()
+	if snap == nil {
 		return Response{}, false
 	}
-	age := s.now().Sub(s.cacheAt).Seconds()
-	if age < 0 {
-		age = 0
-	}
-	if req.Op == OpMetrics {
-		if s.cacheMetrics == nil {
-			return Response{
-				OK:      false,
-				Error:   "controlplane: system has no telemetry set",
-				Code:    CodeNoTelemetry,
-				SimTime: s.cacheSimTime,
-			}, true
-		}
+	return snap.control(req, true, max(s.now().Sub(snap.at).Seconds(), 0)), true
+}
+
+// control renders a status or metrics reply from the snapshot; stale
+// replies carry their age.
+func (snap *snapshot) control(req Request, stale bool, age float64) Response {
+	if req.Op == OpMetrics && snap.metrics == nil {
 		return Response{
-			OK:        true,
-			SimTime:   s.cacheSimTime,
-			Text:      telemetry.PrometheusText(*s.cacheMetrics),
-			Stale:     true,
-			CacheAgeS: age,
-		}, true
+			OK:      false,
+			Error:   "controlplane: system has no telemetry set",
+			Code:    CodeNoTelemetry,
+			SimTime: snap.simTime,
+		}
 	}
-	st := *s.cacheStats
-	resp := Response{
-		OK:        true,
-		SimTime:   s.cacheSimTime,
-		Stats:     &st,
-		Stale:     true,
-		CacheAgeS: age,
+	resp := Response{OK: true, SimTime: snap.simTime, Stale: stale, CacheAgeS: age}
+	if req.Op == OpMetrics {
+		resp.Text = telemetry.PrometheusText(*snap.metrics)
+	} else {
+		resp.Stats, resp.Metrics = snap.stats, snap.metrics
 	}
-	if s.cacheMetrics != nil {
-		m := *s.cacheMetrics
-		resp.Metrics = &m
-	}
-	return resp, true
+	return resp
 }
 
 // ExecuteSim runs one open/close/read/write op on sys to completion and

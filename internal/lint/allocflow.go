@@ -12,8 +12,9 @@ import (
 // The allocflow pass statically guards the model's zero-allocation hot
 // paths. A function opts in with a //dhllint:hotpath comment directive on
 // its declaration; the pass then verifies that neither the function body
-// nor anything it transitively calls (over the module call graph the
-// purity pass also uses) can allocate in steady state.
+// nor anything it transitively calls (over the module call graph's one
+// reverse-reachability walk, shared with purity and goescape) can allocate
+// in steady state.
 //
 // Allocation sites are classified from the go/types-resolved AST:
 // make/new, growing append, escaping composite literals (&T{…}, slice and
@@ -47,12 +48,6 @@ import (
 // allocation-free.
 const hotpathDirective = "//dhllint:hotpath"
 
-// allocSite is one reason a function may allocate.
-type allocSite struct {
-	desc string
-	pos  token.Pos
-}
-
 // isHotpath reports whether fd carries the //dhllint:hotpath directive.
 func isHotpath(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
@@ -74,7 +69,7 @@ func runAllocFlow(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 	// Classify sites, dropping those justified in place: an allowed site
 	// is consumed immediately (so the allow never reads as unused) and
 	// neither reports nor seeds taint.
-	sites := make(map[*cgNode][]allocSite)
+	sites := make(map[*cgNode][]site)
 	for _, n := range g.order {
 		for _, s := range g.allocSites(n) {
 			pos := g.fset.Position(s.pos)
@@ -85,41 +80,13 @@ func runAllocFlow(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 			sites[n] = append(sites[n], s)
 		}
 	}
-
-	// Shortest-path reverse BFS from the surviving sites. The cgNode
-	// dist/via/source fields belong to the purity pass (both passes share
-	// one graph), so this pass keeps its search state in local maps.
-	callers := make(map[*cgNode][]*cgNode)
-	for _, n := range g.order {
-		for _, e := range n.calls {
-			if callee := g.nodes[e.callee]; callee != nil {
-				callers[callee] = append(callers[callee], n)
-			}
-		}
-	}
-	dist := make(map[*cgNode]int)
-	via := make(map[*cgNode]*cgNode)
-	siteOf := make(map[*cgNode]*allocSite)
-	var queue []*cgNode
-	for _, n := range g.order {
+	// Seed at each node's first surviving site by position.
+	r := g.reachBack(func(n *cgNode) *site {
 		if ss := sites[n]; len(ss) > 0 {
-			dist[n] = 0
-			siteOf[n] = &ss[0] // representative: first site by position
-			queue = append(queue, n)
+			return &ss[0]
 		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, caller := range callers[n] {
-			if _, seen := dist[caller]; seen {
-				continue
-			}
-			dist[caller] = dist[n] + 1
-			via[caller] = n
-			queue = append(queue, caller)
-		}
-	}
+		return nil
+	})
 
 	var out []Diagnostic
 	for _, n := range g.order {
@@ -135,13 +102,10 @@ func runAllocFlow(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 		}
 		for _, e := range n.calls {
 			callee := g.nodes[e.callee]
-			if callee == nil {
+			if _, tainted := r[callee]; !tainted {
 				continue
 			}
-			if _, tainted := dist[callee]; !tainted {
-				continue
-			}
-			chain := g.allocChain(callee, via, siteOf)
+			chain := g.chain(r, callee)
 			pass.reportChain(e.pos, chain,
 				"hot path %s calls %s, which allocates: %s",
 				name, g.shortName(e.callee), chainArrow(chain))
@@ -150,29 +114,13 @@ func runAllocFlow(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 	return out
 }
 
-// allocChain renders the shortest call chain from a tainted callee down to
-// the allocation site seeding it, one "name (file:line)" frame per hop
-// with the site itself as the final frame.
-func (g *CallGraph) allocChain(n *cgNode, via map[*cgNode]*cgNode, siteOf map[*cgNode]*allocSite) []string {
-	var chain []string
-	for hop := n; hop != nil; hop = via[hop] {
-		chain = append(chain, fmt.Sprintf("%s (%s)", g.shortName(hop.fn), g.relPos(hop.decl.Pos())))
-		if via[hop] == nil {
-			if s := siteOf[hop]; s != nil {
-				chain = append(chain, fmt.Sprintf("%s (%s)", s.desc, g.relPos(s.pos)))
-			}
-		}
-	}
-	return chain
-}
-
 // allocSites classifies every potential allocation in one function body,
 // in position order.
-func (g *CallGraph) allocSites(n *cgNode) []allocSite {
+func (g *CallGraph) allocSites(n *cgNode) []site {
 	info := n.pkg.Info
-	var sites []allocSite
+	var sites []site
 	add := func(pos token.Pos, format string, args ...any) {
-		sites = append(sites, allocSite{desc: fmt.Sprintf(format, args...), pos: pos})
+		sites = append(sites, site{desc: fmt.Sprintf(format, args...), pos: pos})
 	}
 	body := n.decl.Body
 	selfAppend := selfAppendCalls(body)

@@ -19,6 +19,11 @@ import (
 // contains it. Function literals are attributed to their enclosing
 // declaration, so a source inside a closure taints the declaring function.
 //
+// The graph is read-only once built. The purity, allocflow and goescape
+// passes differ only in where they seed: each hands reachBack its seeding
+// rule, and reachBack's one breadth-first walk over the callers index
+// gives every reached function its shortest chain to a seed.
+//
 // Limitations, by construction: calls through interface methods and
 // function values are not resolved (no edge), so taint does not propagate
 // through them — the intra-package determinism rule still catches direct
@@ -32,18 +37,15 @@ type CallGraph struct {
 	order []*cgNode // deterministic: package input order, then position
 }
 
+// cgNode is one function declaration. Nodes are read-only once
+// buildCallGraph returns; the passes keep their search state in a reach.
 type cgNode struct {
 	fn      *types.Func
 	pkg     *Package
 	decl    *ast.FuncDecl
 	calls   []cgEdge
-	sources []taintSource
-
-	// BFS state filled in by runPurity: distance to the nearest ambient
-	// source, the next hop toward it, and the source reached.
-	dist   int
-	via    *cgNode
-	source *taintSource
+	callers []*cgNode // one entry per edge into this node, in graph order
+	sources []site    // ambient-state reaches, in position order
 }
 
 // cgEdge is one static call (or function-value reference) site.
@@ -52,11 +54,13 @@ type cgEdge struct {
 	pos    token.Pos
 }
 
-// taintSource is one direct reach into ambient state.
-type taintSource struct {
+// site is one positioned reason a function is flagged: an ambient-state
+// source (purity), an allocation (allocflow) or a touch of
+// non-thread-safe state (goescape).
+type site struct {
 	desc string // e.g. "time.Now (wall clock)"
-	rule string // the intra-package rule whose allow also silences this seed
 	pos  token.Pos
+	rule string // ambient sources only: the intra-package rule whose allow also silences the seed
 }
 
 // Graph loads the import paths and builds their call graph — the `-graph`
@@ -87,17 +91,71 @@ func buildCallGraph(cfg *Config, pkgs []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				n := &cgNode{fn: fn, pkg: pkg, decl: fd, dist: -1}
+				n := &cgNode{fn: fn, pkg: pkg, decl: fd}
 				g.nodes[fn] = n
 				g.order = append(g.order, n)
 			}
 		}
 	}
-	// Second pass: edges and taint sources from each body.
+	// Second pass: edges and taint sources from each body, then the
+	// reverse index every interprocedural pass walks.
 	for _, n := range g.order {
 		g.scanBody(n)
 	}
+	for _, n := range g.order {
+		for _, e := range n.calls {
+			if callee := g.nodes[e.callee]; callee != nil {
+				callee.callers = append(callee.callers, n)
+			}
+		}
+	}
 	return g
+}
+
+// reach is the result of one reverse-reachability walk: every node that
+// reaches a seed, with its hop toward the nearest one.
+type reach map[*cgNode]hop
+
+type hop struct {
+	via  *cgNode // next function toward the seed; nil at the seed itself
+	seed *site   // the seed site this node reaches
+}
+
+// reachBack walks the call graph backwards from the seeds seedOf picks:
+// seeds in graph order, then callers breadth-first, each node keeping the
+// first hop that reaches it. Every reached node thus records a shortest
+// path to a seed, and the same one on every run.
+func (g *CallGraph) reachBack(seedOf func(*cgNode) *site) reach {
+	r := reach{}
+	var queue []*cgNode
+	for _, n := range g.order {
+		if s := seedOf(n); s != nil {
+			r[n] = hop{seed: s}
+			queue = append(queue, n)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
+		for _, caller := range n.callers {
+			if _, seen := r[caller]; !seen {
+				r[caller] = hop{via: n, seed: r[n].seed}
+				queue = append(queue, caller)
+			}
+		}
+	}
+	return r
+}
+
+// chain renders the shortest call chain from a reached node down to its
+// seed: one "name (file:line)" frame per function, with the seed site
+// itself as the final frame.
+func (g *CallGraph) chain(r reach, n *cgNode) []string {
+	s := r[n].seed
+	var frames []string
+	for ; n != nil; n = r[n].via {
+		frames = append(frames, fmt.Sprintf("%s (%s)", g.shortName(n.fn), g.relPos(n.decl.Pos())))
+	}
+	return append(frames, fmt.Sprintf("%s (%s)", s.desc, g.relPos(s.pos)))
 }
 
 // scanBody records, for one function declaration, every call/reference to
@@ -128,17 +186,17 @@ func (g *CallGraph) scanBody(n *cgNode) {
 			return true
 		}
 		if desc := ambientSource(fn); desc != "" {
-			n.sources = append(n.sources, taintSource{desc: desc, rule: "determinism", pos: id.Pos()})
+			n.sources = append(n.sources, site{desc: desc, pos: id.Pos(), rule: "determinism"})
 		}
 		return true
 	})
 	// Map ranges whose body is iteration-order-sensitive are ambient
 	// state too: the traversal order changes run to run.
 	for _, r := range orderSensitiveRanges(info, n.decl) {
-		n.sources = append(n.sources, taintSource{
+		n.sources = append(n.sources, site{
 			desc: fmt.Sprintf("map iteration order (%s)", r.reason),
-			rule: "maporder",
 			pos:  r.pos,
+			rule: "maporder",
 		})
 	}
 	sort.Slice(n.sources, func(i, j int) bool { return n.sources[i].pos < n.sources[j].pos })

@@ -34,9 +34,9 @@ import (
 //
 // Indirect sharing is traced through the call graph: a pointer-receiver
 // method called on a captured variable is flagged when the method —
-// transitively, over the same module call graph purity uses — touches a
-// non-thread-safe value that is not local to the touching function
-// (method calls on unsafe receivers, map operations on fields or
+// transitively, over the call graph's shared reverse-reachability walk —
+// touches a non-thread-safe value that is not local to the touching
+// function (method calls on unsafe receivers, map operations on fields or
 // globals). The diagnostic carries the shortest method→unsafe-touch
 // chain, like every other interprocedural rule.
 //
@@ -87,20 +87,14 @@ func unsafeConcDesc(modpath string, t types.Type) string {
 	return ""
 }
 
-// unsafeTouch is one direct reach into non-thread-safe shared state.
-type unsafeTouch struct {
-	desc string
-	pos  token.Pos
-}
-
 // unsafeTouches scans one function body for direct touches of
 // concurrency-unsafe state that is not local to the function: method
 // calls whose receiver type is in the curated set, and map index /
 // delete / range operations. Purely local values (a map built and used
 // inside the function) never count.
-func (g *CallGraph) unsafeTouches(n *cgNode) []unsafeTouch {
+func (g *CallGraph) unsafeTouches(n *cgNode) []site {
 	info := n.pkg.Info
-	var out []unsafeTouch
+	var out []site
 	nonLocalRoot := func(e ast.Expr) bool {
 		root, _, ok := pathOf(info, e)
 		if !ok {
@@ -119,7 +113,7 @@ func (g *CallGraph) unsafeTouches(n *cgNode) []unsafeTouch {
 		if !nonLocalRoot(e) {
 			return
 		}
-		out = append(out, unsafeTouch{desc: fmt.Sprintf("map %s (%s)", op, types.ExprString(e)), pos: pos})
+		out = append(out, site{desc: fmt.Sprintf("map %s (%s)", op, types.ExprString(e)), pos: pos})
 	}
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
@@ -128,7 +122,7 @@ func (g *CallGraph) unsafeTouches(n *cgNode) []unsafeTouch {
 				if sel, selOK := info.Selections[se]; selOK && sel.Kind() == types.MethodVal {
 					if tv, tvOK := info.Types[se.X]; tvOK {
 						if desc := unsafeConcDesc(g.cfg.ModulePath, tv.Type); desc != "" && nonLocalRoot(se.X) {
-							out = append(out, unsafeTouch{
+							out = append(out, site{
 								desc: fmt.Sprintf("%s.%s on %s", desc, se.Sel.Name, types.ExprString(se.X)),
 								pos:  se.Pos(),
 							})
@@ -162,70 +156,41 @@ func objLocalTo(obj types.Object, n *cgNode) bool {
 // runGoEscape inspects every go statement and sweep-task closure for
 // captured non-thread-safe values shared with the spawning goroutine.
 func runGoEscape(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
-	// Backwards BFS from unsafe touches, mirroring allocflow: dist/via/
-	// touchOf let a pointer-receiver method call render the shortest
-	// chain to the state it reaches.
-	callers := make(map[*cgNode][]*cgNode)
-	for _, n := range g.order {
-		for _, e := range n.calls {
-			if callee := g.nodes[e.callee]; callee != nil {
-				callers[callee] = append(callers[callee], n)
-			}
+	// Seed at each node's first unsafe touch, so a pointer-receiver
+	// method call can render the shortest chain to the state it reaches.
+	r := g.reachBack(func(n *cgNode) *site {
+		if ts := g.unsafeTouches(n); len(ts) > 0 {
+			return &ts[0]
 		}
-	}
-	dist := make(map[*cgNode]int)
-	via := make(map[*cgNode]*cgNode)
-	touchOf := make(map[*cgNode]*unsafeTouch)
-	touches := make(map[*cgNode][]unsafeTouch)
-	var queue []*cgNode
-	for _, n := range g.order {
-		ts := g.unsafeTouches(n)
-		touches[n] = ts
-		if len(ts) > 0 {
-			dist[n] = 0
-			touchOf[n] = &ts[0]
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, caller := range callers[n] {
-			if _, seen := dist[caller]; seen {
-				continue
-			}
-			dist[caller] = dist[n] + 1
-			via[caller] = n
-			queue = append(queue, caller)
-		}
-	}
+		return nil
+	})
 
 	var out []Diagnostic
 	for _, n := range g.order {
 		pass := &Pass{Cfg: cfg, Pkg: n.pkg, rule: "goescape", allows: allows, out: &out}
-		g.scanSpawns(n, pass, dist, via, touchOf)
+		g.scanSpawns(n, pass, r)
 	}
 	return out
 }
 
 // scanSpawns finds the spawn sites in one function and checks their
 // captures.
-func (g *CallGraph) scanSpawns(n *cgNode, pass *Pass, dist map[*cgNode]int, via map[*cgNode]*cgNode, touchOf map[*cgNode]*unsafeTouch) {
+func (g *CallGraph) scanSpawns(n *cgNode, pass *Pass, r reach) {
 	info := n.pkg.Info
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.GoStmt:
 			if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
-				g.checkClosure(n, pass, lit, x.Pos(), "goroutine closure", true, dist, via, touchOf)
+				g.checkClosure(n, pass, lit, x.Pos(), "goroutine closure", true, r)
 			} else {
-				g.checkSpawnedCall(n, pass, x.Call, x.Pos(), dist, via, touchOf)
+				g.checkSpawnedCall(n, pass, x.Call, x.Pos(), r)
 			}
 		case *ast.CallExpr:
 			if fn := calleeFunc(info, ast.Unparen(x.Fun)); fn != nil && fn.Pkg() != nil &&
 				fn.Pkg().Path() == g.cfg.ModulePath+"/internal/sweep" &&
 				(fn.Name() == "Map" || fn.Name() == "MapGrid") && len(x.Args) > 2 {
 				if lit, ok := ast.Unparen(x.Args[2]).(*ast.FuncLit); ok {
-					g.checkClosure(n, pass, lit, x.Pos(), "sweep task", false, dist, via, touchOf)
+					g.checkClosure(n, pass, lit, x.Pos(), "sweep task", false, r)
 				}
 			}
 		}
@@ -237,7 +202,7 @@ func (g *CallGraph) scanSpawns(n *cgNode, pass *Pass, dist map[*cgNode]int, via 
 // its enclosing function. needOutsideUse distinguishes go statements
 // (ownership handoff is fine) from sweep tasks (workers share the
 // capture regardless).
-func (g *CallGraph) checkClosure(n *cgNode, pass *Pass, lit *ast.FuncLit, reportPos token.Pos, what string, needOutsideUse bool, dist map[*cgNode]int, via map[*cgNode]*cgNode, touchOf map[*cgNode]*unsafeTouch) {
+func (g *CallGraph) checkClosure(n *cgNode, pass *Pass, lit *ast.FuncLit, reportPos token.Pos, what string, needOutsideUse bool, r reach) {
 	info := n.pkg.Info
 	type capture struct {
 		v        *types.Var
@@ -283,13 +248,13 @@ func (g *CallGraph) checkClosure(n *cgNode, pass *Pass, lit *ast.FuncLit, report
 		}
 		// Indirect: pointer-receiver module methods called on the
 		// capture that transitively touch unsafe state.
-		g.checkCapturedCalls(n, pass, lit, c.v, reportPos, what, dist, via, touchOf)
+		g.checkCapturedCalls(n, pass, lit, c.v, reportPos, what, r)
 	}
 }
 
 // checkCapturedCalls flags pointer-receiver method calls on a captured
 // variable whose callee transitively touches non-thread-safe state.
-func (g *CallGraph) checkCapturedCalls(n *cgNode, pass *Pass, lit *ast.FuncLit, v *types.Var, reportPos token.Pos, what string, dist map[*cgNode]int, via map[*cgNode]*cgNode, touchOf map[*cgNode]*unsafeTouch) {
+func (g *CallGraph) checkCapturedCalls(n *cgNode, pass *Pass, lit *ast.FuncLit, v *types.Var, reportPos token.Pos, what string, r reach) {
 	info := n.pkg.Info
 	reported := false
 	ast.Inspect(lit.Body, func(node ast.Node) bool {
@@ -321,13 +286,10 @@ func (g *CallGraph) checkCapturedCalls(n *cgNode, pass *Pass, lit *ast.FuncLit, 
 			return true
 		}
 		callee := g.nodes[fn]
-		if callee == nil {
+		if _, touched := r[callee]; !touched {
 			return true
 		}
-		if _, touched := dist[callee]; !touched {
-			return true
-		}
-		chain := g.touchChain(callee, via, touchOf)
+		chain := g.chain(r, callee)
 		pass.reportChain(reportPos, chain,
 			"%s calls %s on captured %s, which reaches non-thread-safe state shared with the spawning goroutine: %s",
 			what, g.shortName(fn), v.Name(), chainArrow(chain))
@@ -338,20 +300,19 @@ func (g *CallGraph) checkCapturedCalls(n *cgNode, pass *Pass, lit *ast.FuncLit, 
 
 // checkSpawnedCall handles `go x.m(...)` and `go f(rng)`: a method value
 // spawned directly, or unsafe values passed as arguments.
-func (g *CallGraph) checkSpawnedCall(n *cgNode, pass *Pass, call *ast.CallExpr, reportPos token.Pos, dist map[*cgNode]int, via map[*cgNode]*cgNode, touchOf map[*cgNode]*unsafeTouch) {
+func (g *CallGraph) checkSpawnedCall(n *cgNode, pass *Pass, call *ast.CallExpr, reportPos token.Pos, r reach) {
 	info := n.pkg.Info
 	goEnd := call.End()
 	if se, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if root, _, ok := pathOf(info, se.X); ok {
 			if rv, isVar := root.(*types.Var); isVar && usedOutside(info, n, rv, call.Pos(), goEnd) {
 				if fn, ok := info.Uses[se.Sel].(*types.Func); ok {
-					if callee := g.nodes[fn.Origin()]; callee != nil {
-						if _, touched := dist[callee]; touched {
-							chain := g.touchChain(callee, via, touchOf)
-							pass.reportChain(reportPos, chain,
-								"goroutine runs %s on %s, which reaches non-thread-safe state shared with the spawning goroutine: %s",
-								g.shortName(fn.Origin()), rv.Name(), chainArrow(chain))
-						}
+					callee := g.nodes[fn.Origin()]
+					if _, touched := r[callee]; touched {
+						chain := g.chain(r, callee)
+						pass.reportChain(reportPos, chain,
+							"goroutine runs %s on %s, which reaches non-thread-safe state shared with the spawning goroutine: %s",
+							g.shortName(fn.Origin()), rv.Name(), chainArrow(chain))
 					}
 				}
 			}
@@ -375,21 +336,6 @@ func (g *CallGraph) checkSpawnedCall(n *cgNode, pass *Pass, call *ast.CallExpr, 
 			"goroutine receives %s (%s), which is not thread-safe and is still used by the spawning goroutine; hand off ownership or guard it",
 			rv.Name(), desc)
 	}
-}
-
-// touchChain renders the shortest call chain from a node down to the
-// unsafe touch seeding it.
-func (g *CallGraph) touchChain(n *cgNode, via map[*cgNode]*cgNode, touchOf map[*cgNode]*unsafeTouch) []string {
-	var chain []string
-	for hop := n; hop != nil; hop = via[hop] {
-		chain = append(chain, fmt.Sprintf("%s (%s)", g.shortName(hop.fn), g.relPos(hop.decl.Pos())))
-		if via[hop] == nil {
-			if t := touchOf[hop]; t != nil {
-				chain = append(chain, fmt.Sprintf("%s (%s)", t.desc, g.relPos(t.pos)))
-			}
-		}
-	}
-	return chain
 }
 
 // usedOutside reports whether v is referenced in n's body outside the

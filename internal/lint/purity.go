@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // The purity pass is the interprocedural half of the determinism story.
 // The intra-package determinism rule flags a model function that calls
@@ -22,42 +19,15 @@ import (
 // runPurity computes taint over the call graph and reports tainted call
 // sites in model packages. Runs after the per-package pool, sequentially.
 func runPurity(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
-	// Seed the BFS at every node with an unsuppressed ambient source.
-	// Reverse adjacency: who calls whom.
-	callers := make(map[*cgNode][]*cgNode)
-	for _, n := range g.order {
-		for _, e := range n.calls {
-			if callee := g.nodes[e.callee]; callee != nil {
-				callers[callee] = append(callers[callee], n)
-			}
-		}
-	}
-	var queue []*cgNode
-	for _, n := range g.order {
+	// Seed at each node's first ambient source not justified in place.
+	r := g.reachBack(func(n *cgNode) *site {
 		for i := range n.sources {
-			s := &n.sources[i]
-			if g.seedSuppressed(n, s, allows) {
-				continue
+			if !g.seedSuppressed(n, &n.sources[i], allows) {
+				return &n.sources[i]
 			}
-			n.dist, n.source = 0, s
-			queue = append(queue, n)
-			break
 		}
-	}
-	// Deterministic multi-source BFS: order[] is deterministic, and each
-	// node's caller list is built in deterministic order, so dist/via
-	// assignments are reproducible run to run.
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, caller := range callers[n] {
-			if caller.dist >= 0 {
-				continue
-			}
-			caller.dist, caller.via = n.dist+1, n
-			queue = append(queue, caller)
-		}
-	}
+		return nil
+	})
 
 	var out []Diagnostic
 	for _, n := range g.order {
@@ -66,14 +36,15 @@ func runPurity(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 		}
 		for _, e := range n.calls {
 			callee := g.nodes[e.callee]
-			if callee == nil || callee.dist < 0 {
+			h, tainted := r[callee]
+			if !tainted {
 				continue
 			}
-			chain, src := g.chainFrom(callee)
+			chain := g.chain(r, callee)
 			pass := &Pass{Cfg: cfg, Pkg: n.pkg, rule: "purity", allows: allows, out: &out}
 			pass.reportChain(e.pos, chain,
 				"%s transitively reaches %s: %s; model code must be a pure function of its inputs",
-				g.shortName(e.callee), src, chainArrow(chain))
+				g.shortName(e.callee), h.seed.desc, chainArrow(chain))
 		}
 	}
 	return out
@@ -83,7 +54,7 @@ func runPurity(cfg *Config, g *CallGraph, allows *allowIndex) []Diagnostic {
 // an allow for "purity" at the source line, or for the intra-package rule
 // that owns the construct (determinism in model packages, maporder for map
 // ranges). A consumed allow is marked used.
-func (g *CallGraph) seedSuppressed(n *cgNode, s *taintSource, allows *allowIndex) bool {
+func (g *CallGraph) seedSuppressed(n *cgNode, s *site, allows *allowIndex) bool {
 	pos := g.fset.Position(s.pos)
 	if e := allows.lookup(pos.Filename, pos.Line, "purity"); e != nil {
 		e.used = true
@@ -103,20 +74,6 @@ func (g *CallGraph) seedSuppressed(n *cgNode, s *taintSource, allows *allowIndex
 		}
 	}
 	return false
-}
-
-// chainFrom renders the shortest call chain from a tainted node to its
-// ambient source: one frame per function, innermost last, followed by the
-// source itself. Returns the frames and the source description.
-func (g *CallGraph) chainFrom(n *cgNode) (chain []string, src string) {
-	for hop := n; hop != nil; hop = hop.via {
-		chain = append(chain, fmt.Sprintf("%s (%s)", g.shortName(hop.fn), g.relPos(hop.decl.Pos())))
-		if hop.via == nil && hop.source != nil {
-			src = hop.source.desc
-			chain = append(chain, fmt.Sprintf("%s (%s)", src, g.relPos(hop.source.pos)))
-		}
-	}
-	return chain, src
 }
 
 // chainArrow compacts chain frames into "a → b → c" using just the names.

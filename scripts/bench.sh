@@ -7,14 +7,9 @@
 # Usage: scripts/bench.sh [output.json] [bench-regex]
 #   scripts/bench.sh                                  # all benches → BENCH_sweep.json
 #   scripts/bench.sh lint                             # the dhllint engine → BENCH_lint.json
-#   scripts/bench.sh telemetry                        # instrumentation overhead → BENCH_telemetry.json
 #   scripts/bench.sh kernel                           # event-kernel hot path → BENCH_kernel.json
 #   scripts/bench.sh controlplane                     # dhlload overload run → BENCH_controlplane.json
 #   scripts/bench.sh campus                           # 1000-cart campus chaos run → BENCH_campus.json
-#
-# The telemetry mode runs the enabled/disabled shuttle pair and adds an
-# overhead_pct field (enabled vs disabled best-of-3 ns/op) to the output;
-# the acceptance target keeps the disabled path within 1 % of baseline.
 #
 # The kernel mode runs the event-kernel pair (burst and steady-state),
 # the shuttle workload, and the telemetry shuttle pair; kernel rows gain
@@ -76,14 +71,9 @@ fi
 
 out="${1:-BENCH_sweep.json}"
 pattern="${2:-.}"
-telemetry=0
 kernel=0
 lint=0
-if [[ "${1:-}" == "telemetry" ]]; then
-    out="BENCH_telemetry.json"
-    pattern="BenchmarkShuttleTelemetry(Disabled|Enabled)$"
-    telemetry=1
-elif [[ "${1:-}" == "kernel" ]]; then
+if [[ "${1:-}" == "kernel" ]]; then
     out="BENCH_kernel.json"
     pattern="BenchmarkEventKernel(SteadyState)?$|BenchmarkSystemSimulation$|BenchmarkShuttleTelemetry(Disabled|Enabled|EnabledCold)$"
     kernel=1
@@ -97,7 +87,7 @@ trap 'rm -f "$raw"' EXIT
 
 go test -run=NONE -bench="$pattern" -benchmem -count=3 . | tee "$raw"
 
-awk -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v telemetry="$telemetry" -v kernel="$kernel" -v lint="$lint" '
+awk -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v kernel="$kernel" -v lint="$lint" '
 /^Benchmark/ {
     # BenchmarkName-N  iters  ns/op  B/op  allocs/op
     name = $1
@@ -135,7 +125,7 @@ END {
         if (gomaxprocs == 1)
             printf ",\n  \"notes\": \"BenchmarkLintModuleParallel shows no speedup over Sequential on this machine because the benchmark host is single-core (GOMAXPROCS=1): the GOMAXPROCS-bounded pool degenerates to one worker, so both benches run the identical sequential schedule. The pool itself adds <3%% overhead at worker count 1; TestParallelMatchesSequential and TestDesignSpaceSweepIsWorkerCountInvariant pin that worker count never changes output. Re-measure on a multi-core host to see pool scaling.\""
     }
-    if ((telemetry || kernel) && ("BenchmarkShuttleTelemetryDisabled" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
+    if (kernel && ("BenchmarkShuttleTelemetryDisabled" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
         off = best["BenchmarkShuttleTelemetryDisabled"]
         on = best["BenchmarkShuttleTelemetryEnabled"]
         printf ",\n  \"overhead_pct\": %.2f", (on - off) / off * 100

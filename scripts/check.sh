@@ -21,6 +21,11 @@ fi
 echo "== go build ./..."
 go build ./...
 
+# perfbench is a nested module, so the root build never compiles it; a
+# root API change would otherwise break the benchmark silently.
+echo "== perfbench: go vet + go build"
+(cd perfbench && go vet ./... && go build -o /dev/null ./...)
+
 echo "== dhllint ./..."
 go run ./cmd/dhllint ./...
 
@@ -40,4 +45,4 @@ go test -race ./...
 echo "== go test -race -count=20 (admission, control plane, sweep, router)"
 go test -race -count=20 ./internal/admit ./internal/controlplane ./internal/cpclient ./cmd/dhlload ./internal/sweep ./internal/tubenet
 
-echo "OK: vet, gofmt, build, dhllint, race-clean tests"
+echo "OK: vet, gofmt, build (root and perfbench), dhllint, race-clean tests"
