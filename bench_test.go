@@ -21,7 +21,6 @@ import (
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/datamap"
 	"repro/internal/dhlsys"
 	"repro/internal/faults"
 	"repro/internal/multistop"
@@ -462,8 +461,7 @@ func BenchmarkChaosShuttle(b *testing.B) {
 		opt := dhlsys.DefaultOptions()
 		opt.NumCarts = 4
 		opt.Seed = 1337
-		script, err := faults.Scenario(faults.ScenarioRoughDay, 1337, 120,
-			opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+		script, err := faults.ScenarioDims(faults.ScenarioRoughDay, 1337, 120, opt.Dims())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -726,26 +724,6 @@ func BenchmarkTraceReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := sys.ReplayTrace(tr, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDatamapPlacement places and appends datasets across a fleet's
-// catalogue (§III-D data mapping).
-func BenchmarkDatamapPlacement(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := datamap.NewCatalog()
-		for j := 0; j < 8; j++ {
-			if err := c.AddCart(track.CartID(j), 32, 8*units.TB); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := c.Place("ds", 1.5*units.PB); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Append("ds", 200*units.TB); err != nil {
 			b.Fatal(err)
 		}
 	}

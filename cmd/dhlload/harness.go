@@ -191,8 +191,7 @@ func newHarness(cfg Config) (*harness, error) {
 	opt.NumCarts = cfg.Carts
 	opt.LibrarySlots = 0
 	if cfg.Chaos != "" {
-		script, err := faults.Scenario(cfg.Chaos, cfg.Seed, units.Seconds(cfg.Duration),
-			opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+		script, err := faults.ScenarioDims(cfg.Chaos, cfg.Seed, units.Seconds(cfg.Duration), opt.Dims())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -21,8 +22,17 @@ type liveResult struct {
 
 // runLive drives `clients` concurrent cpclient loops against a live
 // control-plane server for the given wall duration. Each client runs the
-// same open → ops×IO → close cycle as the virtual closed loop.
-func runLive(addr string, clients int, duration time.Duration, ops int, bytes float64, seed int64) liveResult {
+// same open → ops×IO → close cycle as the virtual closed loop on its own
+// cart: client i drives cart i. carts is the server's fleet size, so a
+// run with more clients than carts is refused rather than left to collect
+// unknown-cart failures.
+func runLive(addr string, clients, carts int, duration time.Duration, ops int, bytes float64, seed int64) (liveResult, error) {
+	if carts < 1 {
+		return liveResult{}, errors.New("-live needs -carts set to the server's fleet size (dhlserve -carts)")
+	}
+	if clients > carts {
+		return liveResult{}, fmt.Errorf("-live: -clients %d exceeds -carts %d; each client drives its own cart", clients, carts)
+	}
 	budget := cpclient.NewBudget(0, 0) // defaults, shared per server
 	var (
 		mu  sync.Mutex
@@ -88,7 +98,7 @@ func runLive(addr string, clients int, duration time.Duration, ops int, bytes fl
 	}
 	wg.Wait()
 	agg.Elapsed = time.Since(start)
-	return agg
+	return agg, nil
 }
 
 // Report renders the live run (wall-clock, nondeterministic by nature).

@@ -17,14 +17,15 @@
 //
 // A -chaos scenario (see internal/faults) composes fault injection into
 // the same run. -live ADDR switches to a wall-clock driver hammering a
-// real dhlserve over TCP instead of the virtual harness.
+// real dhlserve over TCP instead of the virtual harness; client i drives
+// cart i, so -carts must match the server's -carts and cover -clients.
 //
 // Examples:
 //
 //	dhlload -clients 1000 -duration 300 -think 0.5
 //	dhlload -mode open -rate 200 -duration 120 -chaos rush-hour
 //	dhlload -clients 64 -duration 60 -bench-out BENCH_controlplane.json
-//	dhlload -live 127.0.0.1:7070 -clients 32 -duration 10
+//	dhlload -live 127.0.0.1:7070 -carts 2 -clients 2 -duration 10
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 		readFrac = flag.Float64("read", 0.5, "fraction of IO ops that are reads")
 		bytes    = flag.Float64("bytes", 1e9, "bytes per IO op")
 		rate     = flag.Float64("rate", 50, "open-loop aggregate arrival rate, requests/s")
-		carts    = flag.Int("carts", 0, "fleet size (0: one per client closed, 8 open)")
+		carts    = flag.Int("carts", 0, "fleet size (0: one per client closed, 8 open; with -live it must match the server's -carts)")
 		chaos    = flag.String("chaos", "", "compose a fault scenario (see dhlsim -chaos list)")
 		statusEv = flag.Float64("status-every", 0.5, "control-probe period, virtual seconds (0 disables)")
 		reqTO    = flag.Float64("timeout", 10, "queued-request abandon timeout, virtual seconds")
@@ -68,8 +69,11 @@ func main() {
 	flag.Parse()
 
 	if *live != "" {
-		res := runLive(*live, *clients, time.Duration(*duration*float64(time.Second)),
+		res, err := runLive(*live, *clients, *carts, time.Duration(*duration*float64(time.Second)),
 			*ops, *bytes, *seed)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Print(res.Report())
 		return
 	}

@@ -201,9 +201,13 @@ func TestRateLimitedAdmission(t *testing.T) {
 }
 
 // TestLiveModeSmoke drives the wall-clock path against a real TCP server
-// briefly: the loop must complete requests and close cleanly.
+// briefly: the loop must complete requests and close cleanly, and a run
+// with more clients than the server has carts is refused.
 func TestLiveModeSmoke(t *testing.T) {
-	sys, err := dhlsys.New(dhlsys.DefaultOptions())
+	const carts = 2
+	opt := dhlsys.DefaultOptions()
+	opt.NumCarts = carts
+	sys, err := dhlsys.New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +220,23 @@ func TestLiveModeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	res := runLive(addr, 2, 500*time.Millisecond, 2, 1e6, 1)
+	if _, err := runLive(addr, 3, carts, 500*time.Millisecond, 2, 1e6, 1); err == nil {
+		t.Error("3 clients on a 2-cart server: want a refusal, got a run")
+	}
+	if _, err := runLive(addr, 2, 0, 500*time.Millisecond, 2, 1e6, 1); err == nil {
+		t.Error("-carts 0: want a refusal, got a run")
+	}
+	res, err := runLive(addr, 2, carts, 500*time.Millisecond, 2, 1e6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.OK == 0 {
 		t.Errorf("live run completed nothing: %+v", res)
+	}
+	// Only requests cut off at the deadline may fail; a client without a
+	// cart of its own would fail every request.
+	if res.Failed > res.OK {
+		t.Errorf("2 clients on 2 carts: most requests failed: %+v", res)
 	}
 	if res.Client.Attempts == 0 {
 		t.Error("client stats not aggregated")

@@ -137,8 +137,7 @@ func main() {
 		if h <= 0 {
 			h = an.Time * 1.1
 		}
-		script, err := faults.Scenario(*chaos, *seed, h,
-			opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+		script, err := faults.ScenarioDims(*chaos, *seed, h, opt.Dims())
 		if err != nil {
 			if errors.Is(err, faults.ErrUnknownScenario) {
 				log.Fatal(unknownChaosMessage(err))

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/datamap"
 	"repro/internal/dhlsys"
 	"repro/internal/faults"
 	"repro/internal/sweep"
@@ -136,8 +135,7 @@ func chaosRun(t *testing.T, scenario string, seed int64) string {
 	t.Helper()
 	opt := dhlsys.DefaultOptions()
 	opt.Seed = seed
-	script, err := faults.Scenario(scenario, seed, 60,
-		opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+	script, err := faults.ScenarioDims(scenario, seed, 60, opt.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +164,7 @@ func telemetryChaosRun(t *testing.T, set *telemetry.Set, scenario string, seed i
 	opt := dhlsys.DefaultOptions()
 	opt.Seed = seed
 	opt.Telemetry = set
-	script, err := faults.Scenario(scenario, seed, 60,
-		opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+	script, err := faults.ScenarioDims(scenario, seed, 60, opt.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +279,7 @@ func TestRandomFaultSchedulesNeverDeadlockDockFIFO(t *testing.T) {
 				opt.DockStations = cfg.docks
 				opt.RailMode = cfg.rail
 				opt.Seed = seed
-				script, err := faults.Scenario(scenario, seed, 90,
-					opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs)
+				script, err := faults.ScenarioDims(scenario, seed, 90, opt.Dims())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -308,32 +304,6 @@ func TestRandomFaultSchedulesNeverDeadlockDockFIFO(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestDatamapPlacementIsByteIdenticalAcrossRuns(t *testing.T) {
-	run := func() string {
-		c := datamap.NewCatalog()
-		for id := 0; id < 8; id++ {
-			if err := c.AddCart(track.CartID(id), 16, 4*units.TB); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := c.Place("ml-29pb", 200*units.TB); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Append("ml-29pb", 37*units.TB); err != nil {
-			t.Fatal(err)
-		}
-		ext, epoch, err := c.Locate("ml-29pb")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("free=%v epoch=%d ext=%v", c.FreeBytes(), epoch, ext)
-	}
-	first, second := run(), run()
-	if first != second {
-		t.Errorf("datamap placement differs between runs:\n%s\nvs\n%s", first, second)
 	}
 }
 

@@ -215,9 +215,6 @@ func (s *System) stallCart(c *Cart, delay units.Seconds) {
 // the byte-identity artefact chaos replays compare.
 func (s *System) FaultLog() []string { return s.inj.LogLines() }
 
-// FaultSummary returns the per-kind fault accounting.
-func (s *System) FaultSummary() faults.Summary { return s.inj.Summary() }
-
 // AvailabilityReport summarises a run's health: the outage-union downtime,
 // the availability fraction, and goodput-relevant degraded counters.
 type AvailabilityReport struct {

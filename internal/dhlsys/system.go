@@ -100,10 +100,6 @@ type RecoveryPolicy struct {
 	VacuumMargin float64
 }
 
-// DefaultRecovery returns the default amelioration policy: degraded RAID
-// reads on, no launch timeout, immediate retries, default drag margin.
-func DefaultRecovery() RecoveryPolicy { return RecoveryPolicy{} }
-
 // DefaultOptions is the paper's primary setup: default DHL, single rail,
 // 4 docking stations, 2-cart fleet, RAID0, PCIe 6 ×1/SSD, no failures.
 func DefaultOptions() Options {
@@ -115,6 +111,17 @@ func DefaultOptions() Options {
 		RAID:         storage.RAID0,
 		PCIeGen:      6,
 		LanesPerSSD:  1,
+	}
+}
+
+// Dims describes the deployment for faults.ScenarioDims and ValidateDims:
+// a point-to-point line (no campus segments) whose faults target the
+// fleet's carts, the endpoint's docking stations and each cart's SSDs.
+func (o Options) Dims() faults.Dims {
+	return faults.Dims{
+		Carts:          o.NumCarts,
+		Stations:       o.DockStations,
+		DevicesPerCart: o.Core.Cart.Config.NumSSDs,
 	}
 }
 
@@ -304,7 +311,7 @@ func New(opt Options) (*System, error) {
 	script := faults.Script{}
 	if opt.Faults != nil {
 		script = *opt.Faults
-		if err := script.Validate(opt.NumCarts, opt.DockStations, opt.Core.Cart.Config.NumSSDs); err != nil {
+		if err := script.ValidateDims(opt.Dims()); err != nil {
 			return nil, err
 		}
 	}

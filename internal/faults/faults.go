@@ -138,12 +138,6 @@ type Dims struct {
 	Segments       int
 }
 
-// Validate checks the fault against a point-to-point deployment's
-// dimensions. Campus faults need ValidateDims with Segments set.
-func (f Fault) Validate(numCarts, numStations, devicesPerCart int) error {
-	return f.ValidateDims(Dims{Carts: numCarts, Stations: numStations, DevicesPerCart: devicesPerCart})
-}
-
 // ValidateDims checks the fault against a deployment's dimensions.
 func (f Fault) ValidateDims(d Dims) error {
 	numCarts, numStations, devicesPerCart := d.Carts, d.Stations, d.DevicesPerCart
@@ -250,12 +244,6 @@ type Script struct {
 	Faults []Fault
 }
 
-// Validate checks every fault against a point-to-point deployment's
-// dimensions. Campus scripts need ValidateDims with Segments set.
-func (s Script) Validate(numCarts, numStations, devicesPerCart int) error {
-	return s.ValidateDims(Dims{Carts: numCarts, Stations: numStations, DevicesPerCart: devicesPerCart})
-}
-
 // ValidateDims checks every fault against the deployment's dimensions.
 func (s Script) ValidateDims(d Dims) error {
 	for i, f := range s.Faults {
@@ -274,7 +262,7 @@ func (s Script) Sorted() []Fault {
 	return out
 }
 
-// Scenario names understood by Scenario, in the order ScenarioNames
+// Scenario names understood by ScenarioDims, in the order ScenarioNames
 // returns them.
 const (
 	// ScenarioSSDStorm: a burst of in-flight SSD deaths.
@@ -306,13 +294,6 @@ func ScenarioNames() []string {
 
 // ErrUnknownScenario is returned for scenario names outside ScenarioNames.
 var ErrUnknownScenario = errors.New("faults: unknown scenario")
-
-// Scenario generates a named chaos script for a point-to-point deployment
-// of the given dimensions over [0, horizon]. Campus-only scenarios
-// (ScenarioCampusPartition) need ScenarioDims with Segments set.
-func Scenario(name string, seed int64, horizon units.Seconds, numCarts, numStations, devicesPerCart int) (Script, error) {
-	return ScenarioDims(name, seed, horizon, Dims{Carts: numCarts, Stations: numStations, DevicesPerCart: devicesPerCart})
-}
 
 // ScenarioDims generates a named chaos script for a deployment of the
 // given dimensions over [0, horizon]. Generation draws only from a

@@ -28,7 +28,7 @@ func TestKindStringsAndTaxonomyOrder(t *testing.T) {
 }
 
 func TestFaultValidate(t *testing.T) {
-	const carts, stations, devices = 4, 2, 16
+	d := Dims{Carts: 4, Stations: 2, DevicesPerCart: 16}
 	cases := []struct {
 		name string
 		f    Fault
@@ -58,9 +58,9 @@ func TestFaultValidate(t *testing.T) {
 		{"unknown kind", Fault{Kind: Kind(42), Duration: 1}, false},
 	}
 	for _, c := range cases {
-		err := c.f.Validate(carts, stations, devices)
+		err := c.f.ValidateDims(d)
 		if (err == nil) != c.ok {
-			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", c.name, c.f, err, c.ok)
+			t.Errorf("%s: ValidateDims(%+v) = %v, want ok=%v", c.name, c.f, err, c.ok)
 		}
 		if err != nil && !errors.Is(err, ErrBadFault) {
 			t.Errorf("%s: error %v must wrap ErrBadFault", c.name, err)
@@ -94,9 +94,9 @@ func TestFaultValidateDimsCampus(t *testing.T) {
 
 func TestScriptValidateWrapsBadScript(t *testing.T) {
 	s := Script{Name: "bad", Faults: []Fault{{Kind: VacuumLeak}}}
-	err := s.Validate(1, 1, 1)
+	err := s.ValidateDims(Dims{Carts: 1, Stations: 1, DevicesPerCart: 1})
 	if !errors.Is(err, ErrBadScript) {
-		t.Fatalf("Validate = %v, want ErrBadScript", err)
+		t.Fatalf("ValidateDims = %v, want ErrBadScript", err)
 	}
 	if !strings.Contains(err.Error(), `"bad" fault 0`) {
 		t.Errorf("error should name the script and index: %v", err)
@@ -153,9 +153,10 @@ func TestScenarioDeterministicAcrossCalls(t *testing.T) {
 }
 
 func TestScenarioCampusPartitionNeedsSegments(t *testing.T) {
-	// The legacy point-to-point Scenario entry point (Segments=0) must
-	// reject the campus-only scenario with a clear error.
-	if _, err := Scenario(ScenarioCampusPartition, 1, 100, 4, 4, 16); !errors.Is(err, ErrBadScript) {
+	// A point-to-point deployment (Segments=0) must reject the campus-only
+	// scenario with a clear error.
+	p2p := Dims{Carts: 4, Stations: 4, DevicesPerCart: 16}
+	if _, err := ScenarioDims(ScenarioCampusPartition, 1, 100, p2p); !errors.Is(err, ErrBadScript) {
 		t.Errorf("point-to-point campus-partition: %v, want ErrBadScript", err)
 	}
 	s, err := ScenarioDims(ScenarioCampusPartition, 1, 100, Dims{Carts: 4, Stations: 24, DevicesPerCart: 16, Segments: 12})
@@ -179,11 +180,12 @@ func TestScenarioCampusPartitionNeedsSegments(t *testing.T) {
 }
 
 func TestScenarioSeedsDiverge(t *testing.T) {
-	a, err := Scenario(ScenarioRoughDay, 1, 100, 4, 4, 16)
+	d := Dims{Carts: 4, Stations: 4, DevicesPerCart: 16}
+	a, err := ScenarioDims(ScenarioRoughDay, 1, 100, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Scenario(ScenarioRoughDay, 2, 100, 4, 4, 16)
+	b, err := ScenarioDims(ScenarioRoughDay, 2, 100, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +195,15 @@ func TestScenarioSeedsDiverge(t *testing.T) {
 }
 
 func TestScenarioRejectsBadInputs(t *testing.T) {
-	if _, err := Scenario("meteor-shower", 1, 100, 4, 4, 16); !errors.Is(err, ErrUnknownScenario) {
+	d := Dims{Carts: 4, Stations: 4, DevicesPerCart: 16}
+	if _, err := ScenarioDims("meteor-shower", 1, 100, d); !errors.Is(err, ErrUnknownScenario) {
 		t.Errorf("unknown scenario: %v", err)
 	}
-	if _, err := Scenario(ScenarioSSDStorm, 1, 0, 4, 4, 16); !errors.Is(err, ErrBadScript) {
+	if _, err := ScenarioDims(ScenarioSSDStorm, 1, 0, d); !errors.Is(err, ErrBadScript) {
 		t.Errorf("zero horizon: %v", err)
 	}
-	if _, err := Scenario(ScenarioSSDStorm, 1, 100, 0, 4, 16); !errors.Is(err, ErrBadScript) {
+	noCarts := Dims{Carts: 0, Stations: 4, DevicesPerCart: 16}
+	if _, err := ScenarioDims(ScenarioSSDStorm, 1, 100, noCarts); !errors.Is(err, ErrBadScript) {
 		t.Errorf("zero carts: %v", err)
 	}
 }

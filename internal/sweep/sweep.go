@@ -4,11 +4,11 @@
 //
 // Every sweep in the repository — the Table VI design space, the ablations,
 // the §V-E minimum-spec search, and the Figure 6 iso-power curves — is a map
-// of a pure evaluation function over a slice (or cartesian grid) of
-// configurations. sweep.Map runs that map over GOMAXPROCS workers by
-// default, lands each result at its input index regardless of completion
-// order, cancels outstanding work on the first error, and returns output
-// indistinguishable from a plain sequential loop.
+// of a pure evaluation function over a slice of configurations. sweep.Map
+// runs that map over GOMAXPROCS workers by default, lands each result at
+// its input index regardless of completion order, cancels outstanding work
+// on the first error, and returns output indistinguishable from a plain
+// sequential loop.
 package sweep
 
 import (
@@ -154,68 +154,6 @@ func Map[I, O any](ctx context.Context, items []I, fn func(context.Context, I) (
 		return nil, err
 	}
 	return out, nil
-}
-
-// Grid is an N-dimensional cartesian index space for factorial sweeps. A
-// Grid with dims (a, b, c) enumerates a×b×c points in row-major order: the
-// last axis varies fastest, matching a nest of for loops with axis 0
-// outermost.
-type Grid struct {
-	dims []int
-}
-
-// NewGrid builds a grid with the given axis sizes. Every axis must have at
-// least one point.
-func NewGrid(dims ...int) (Grid, error) {
-	if len(dims) == 0 {
-		return Grid{}, errors.New("sweep: grid needs at least one axis")
-	}
-	for i, d := range dims {
-		if d < 1 {
-			return Grid{}, fmt.Errorf("sweep: grid axis %d has size %d, need ≥ 1", i, d)
-		}
-	}
-	return Grid{dims: append([]int(nil), dims...)}, nil
-}
-
-// Dims returns a copy of the axis sizes.
-func (g Grid) Dims() []int { return append([]int(nil), g.dims...) }
-
-// Size is the total number of grid points.
-func (g Grid) Size() int {
-	if len(g.dims) == 0 {
-		return 0
-	}
-	n := 1
-	for _, d := range g.dims {
-		n *= d
-	}
-	return n
-}
-
-// Coord decodes a flat row-major index into per-axis coordinates.
-func (g Grid) Coord(flat int) []int {
-	c := make([]int, len(g.dims))
-	for i := len(g.dims) - 1; i >= 0; i-- {
-		c[i] = flat % g.dims[i]
-		flat /= g.dims[i]
-	}
-	return c
-}
-
-// MapGrid evaluates fn at every grid point on the worker pool, returning
-// results in row-major order. fn receives the point's per-axis coordinates.
-func MapGrid[O any](ctx context.Context, g Grid, fn func(context.Context, []int) (O, error), opts ...Option) ([]O, error) {
-	if fn == nil {
-		return nil, ErrNilFunc
-	}
-	idx := make([]int, g.Size())
-	for i := range idx {
-		idx[i] = i
-	}
-	return Map(ctx, idx, func(ctx context.Context, i int) (O, error) {
-		return fn(ctx, g.Coord(i))
-	}, opts...)
 }
 
 // Cache is a concurrency-safe, single-flight memoization table for repeated

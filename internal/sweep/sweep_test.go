@@ -109,43 +109,6 @@ func TestMapParentCancellation(t *testing.T) {
 	}
 }
 
-func TestGridRowMajorOrder(t *testing.T) {
-	g, err := NewGrid(2, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 12 {
-		t.Fatalf("size = %d, want 12", g.Size())
-	}
-	// Row-major: the same order as three nested loops, axis 0 outermost.
-	var want [][]int
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 3; b++ {
-			for c := 0; c < 2; c++ {
-				want = append(want, []int{a, b, c})
-			}
-		}
-	}
-	got, err := MapGrid(context.Background(), g, func(_ context.Context, coord []int) ([]int, error) {
-		return append([]int(nil), coord...), nil
-	}, Workers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("grid order:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestGridValidation(t *testing.T) {
-	if _, err := NewGrid(); err == nil {
-		t.Fatal("no axes: want error")
-	}
-	if _, err := NewGrid(3, 0); err == nil {
-		t.Fatal("zero axis: want error")
-	}
-}
-
 func TestCacheSingleFlight(t *testing.T) {
 	var c Cache[int, int]
 	var calls atomic.Int64

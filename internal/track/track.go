@@ -268,11 +268,6 @@ func (b *DockBank) RepairStation(i int) error {
 	return nil
 }
 
-// StationFailed reports whether station i is out of service.
-func (b *DockBank) StationFailed(i int) bool {
-	return i >= 0 && i < len(b.stations) && b.failed[i]
-}
-
 // FailedStations returns how many stations are out of service.
 func (b *DockBank) FailedStations() int {
 	n := 0
