@@ -44,7 +44,7 @@ type report struct {
 	Module string `json:"module"`
 	// GoMaxProcs records the host parallelism the worker pool defaulted
 	// to, so single-core no-speedup runs are self-explaining in recorded
-	// reports (see BENCH_lint.json).
+	// reports (see BENCH_sweep.json).
 	GoMaxProcs  int               `json:"gomaxprocs"`
 	Total       int               `json:"total"`
 	Counts      map[string]int    `json:"counts"`

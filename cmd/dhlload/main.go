@@ -16,16 +16,14 @@
 //	               independent variable
 //
 // A -chaos scenario (see internal/faults) composes fault injection into
-// the same run. -live ADDR switches to a wall-clock driver hammering a
-// real dhlserve over TCP instead of the virtual harness; client i drives
-// cart i, so -carts must match the server's -carts and cover -clients.
+// the same run. Wall-clock load against a real dhlserve is perfbench's
+// serve-io workload, not this tool.
 //
 // Examples:
 //
 //	dhlload -clients 1000 -duration 300 -think 0.5
-//	dhlload -mode open -rate 200 -duration 120 -chaos rush-hour
+//	dhlload -mode open -rate 200 -duration 120 -chaos rough-day
 //	dhlload -clients 64 -duration 60 -bench-out BENCH_controlplane.json
-//	dhlload -live 127.0.0.1:7070 -carts 2 -clients 2 -duration 10
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"repro/internal/admit"
 	"repro/internal/cpclient"
@@ -46,14 +43,14 @@ func main() {
 	var (
 		mode     = flag.String("mode", "closed", "load shape: closed or open")
 		clients  = flag.Int("clients", 100, "concurrent clients (closed) / connections (open)")
-		duration = flag.Float64("duration", 120, "virtual seconds of offered load (wall seconds with -live)")
+		duration = flag.Float64("duration", 120, "virtual seconds of offered load")
 		seed     = flag.Int64("seed", 1, "master seed: same seed, same report, byte for byte")
 		think    = flag.Float64("think", 1, "closed-loop think time between cycles, seconds")
 		ops      = flag.Int("ops", 4, "IO ops per open/close cycle")
 		readFrac = flag.Float64("read", 0.5, "fraction of IO ops that are reads")
 		bytes    = flag.Float64("bytes", 1e9, "bytes per IO op")
 		rate     = flag.Float64("rate", 50, "open-loop aggregate arrival rate, requests/s")
-		carts    = flag.Int("carts", 0, "fleet size (0: one per client closed, 8 open; with -live it must match the server's -carts)")
+		carts    = flag.Int("carts", 0, "fleet size (0: one per client closed, 8 open)")
 		chaos    = flag.String("chaos", "", "compose a fault scenario (see dhlsim -chaos list)")
 		statusEv = flag.Float64("status-every", 0.5, "control-probe period, virtual seconds (0 disables)")
 		reqTO    = flag.Float64("timeout", 10, "queued-request abandon timeout, virtual seconds")
@@ -64,19 +61,8 @@ func main() {
 
 		benchOut = flag.String("bench-out", "", "write the result as benchmark JSON to this file")
 		jsonOut  = flag.Bool("json", false, "print the result as JSON instead of the text report")
-		live     = flag.String("live", "", "drive a real server at this TCP address (wall clock)")
 	)
 	flag.Parse()
-
-	if *live != "" {
-		res, err := runLive(*live, *clients, *carts, time.Duration(*duration*float64(time.Second)),
-			*ops, *bytes, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(res.Report())
-		return
-	}
 
 	cfg := Config{
 		Mode:           *mode,

@@ -5,12 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/admit"
-	"repro/internal/controlplane"
 	"repro/internal/cpclient"
-	"repro/internal/dhlsys"
 )
 
 func runHarness(t *testing.T, cfg Config) *Result {
@@ -197,49 +194,6 @@ func TestRateLimitedAdmission(t *testing.T) {
 	// Admitted ≈ rate×duration + burst; allow slack for bucket dynamics.
 	if got, max := io.Admitted, uint64(cfg.Duration*10+20); got > max {
 		t.Errorf("admitted %d > bucket ceiling %d", got, max)
-	}
-}
-
-// TestLiveModeSmoke drives the wall-clock path against a real TCP server
-// briefly: the loop must complete requests and close cleanly, and a run
-// with more clients than the server has carts is refused.
-func TestLiveModeSmoke(t *testing.T) {
-	const carts = 2
-	opt := dhlsys.DefaultOptions()
-	opt.NumCarts = carts
-	sys, err := dhlsys.New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := controlplane.NewServer(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if _, err := runLive(addr, 3, carts, 500*time.Millisecond, 2, 1e6, 1); err == nil {
-		t.Error("3 clients on a 2-cart server: want a refusal, got a run")
-	}
-	if _, err := runLive(addr, 2, 0, 500*time.Millisecond, 2, 1e6, 1); err == nil {
-		t.Error("-carts 0: want a refusal, got a run")
-	}
-	res, err := runLive(addr, 2, carts, 500*time.Millisecond, 2, 1e6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK == 0 {
-		t.Errorf("live run completed nothing: %+v", res)
-	}
-	// Only requests cut off at the deadline may fail; a client without a
-	// cart of its own would fail every request.
-	if res.Failed > res.OK {
-		t.Errorf("2 clients on 2 carts: most requests failed: %+v", res)
-	}
-	if res.Client.Attempts == 0 {
-		t.Error("client stats not aggregated")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Control plane: run the §III-D software API over the standard network — a
-// TCP server wrapping a simulated DHL deployment, driven by a JSON client
+// TCP server wrapping a simulated DHL deployment, driven by internal/cpclient
 // the way a rack's storage-management daemon would (the paper suggests
 // integration with suites like NVIDIA Magnum IO).
 package main
@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"repro/internal/controlplane"
+	"repro/internal/cpclient"
 	"repro/internal/dhlsys"
 	"repro/internal/units"
 )
@@ -29,10 +30,7 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("DHL control plane listening on %s\n\n", addr)
 
-	c, err := controlplane.Dial(addr)
-	if err != nil {
-		log.Fatal(err)
-	}
+	c := cpclient.New(cpclient.Options{Addr: addr})
 	defer c.Close()
 
 	step := func(what string, r controlplane.Response, err error) {
@@ -48,15 +46,15 @@ func main() {
 	// The four paper commands, §III-D.
 	r, err := c.Open(0)
 	step("Open(cart 0)", r, err)
-	r, err = c.Write(0, 100*units.TB)
+	r, err = c.Write(0, float64(100*units.TB))
 	step("Write(cart 0, 100 TB)", r, err)
-	r, err = c.Read(0, 100*units.TB)
+	r, err = c.Read(0, float64(100*units.TB))
 	step("Read(cart 0, 100 TB)", r, err)
 	r, err = c.CloseCart(0)
 	step("Close(cart 0)", r, err)
 
 	// Errors are reported through the API, not hidden (§III-D).
-	bad, err := c.Read(0, units.GB)
+	bad, err := c.Read(0, float64(units.GB))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestStatusDuringActiveChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestStatusDuringActiveChaos(t *testing.T) {
 
 	// Drive the simulation past t=1 so the fault injects; the launch flies
 	// degraded under the leak.
-	open, err := c.Open(0)
+	open, err := c.do(Request{Op: OpOpen, Cart: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestStatusDuringActiveChaos(t *testing.T) {
 		t.Fatalf("open failed: %s", open.Error)
 	}
 
-	st, err := c.Status()
+	st, err := c.do(Request{Op: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestStatusDuringActiveChaos(t *testing.T) {
 		t.Errorf("metrics counters: injected=%v degraded=%v", injected, degraded)
 	}
 
-	m, err := c.Metrics()
+	m, err := c.do(Request{Op: OpMetrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestStatusDuringActiveChaos(t *testing.T) {
 // TestMetricsOpWithoutTelemetry verifies the structured no-telemetry error.
 func TestMetricsOpWithoutTelemetry(t *testing.T) {
 	_, addr := startServer(t, dhlsys.DefaultOptions())
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	m, err := c.Metrics()
+	m, err := c.do(Request{Op: OpMetrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestMetricsOpWithoutTelemetry(t *testing.T) {
 		t.Errorf("metrics without telemetry: %+v, want code %q", m, CodeNoTelemetry)
 	}
 	// Status still works, just without the snapshot.
-	st, err := c.Status()
+	st, err := c.do(Request{Op: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}

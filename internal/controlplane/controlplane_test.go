@@ -1,9 +1,11 @@
 package controlplane
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +33,35 @@ func startServer(t *testing.T, opt dhlsys.Options) (*Server, string) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv, addr
+}
+
+// wire is the protocol and nothing more: one JSON request, one JSON
+// reply, no retries and no redials, so every dial and exchange error
+// reaches the test (internal/cpclient is the retrying client).
+type wire struct {
+	net.Conn
+	enc *json.Encoder
+	dec *json.Decoder
+}
+
+func dial(addr string) (*wire, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	enc, dec := jsonPipe(conn)
+	return &wire{conn, enc, dec}, nil
+}
+
+func (c *wire) do(req Request) (Response, error) {
+	if err := c.enc.Encode(req); err != nil {
+		return Response{}, err
+	}
+	var resp Response
+	if err := c.dec.Decode(&resp); err != nil {
+		return Response{}, err
+	}
+	return resp, nil
 }
 
 func TestRequestValidation(t *testing.T) {
@@ -61,13 +92,13 @@ func TestNewServerNilSystem(t *testing.T) {
 
 func TestFullAPICycleOverTCP(t *testing.T) {
 	_, addr := startServer(t, dhlsys.DefaultOptions())
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	open, err := c.Open(0)
+	open, err := c.do(Request{Op: OpOpen, Cart: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +110,14 @@ func TestFullAPICycleOverTCP(t *testing.T) {
 		t.Errorf("open took %v sim-s, want 8.6", open.OpSeconds)
 	}
 
-	wr, err := c.Write(0, 256*units.TB)
+	wr, err := c.do(Request{Op: OpWrite, Cart: 0, Bytes: float64(256 * units.TB)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !wr.OK {
 		t.Fatalf("write failed: %s", wr.Error)
 	}
-	rd, err := c.Read(0, 256*units.TB)
+	rd, err := c.do(Request{Op: OpRead, Cart: 0, Bytes: float64(256 * units.TB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +128,7 @@ func TestFullAPICycleOverTCP(t *testing.T) {
 		t.Error("read must take simulated time")
 	}
 
-	cl, err := c.CloseCart(0)
+	cl, err := c.do(Request{Op: OpClose, Cart: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +136,7 @@ func TestFullAPICycleOverTCP(t *testing.T) {
 		t.Fatalf("close failed: %s", cl.Error)
 	}
 
-	st, err := c.Status()
+	st, err := c.do(Request{Op: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +156,14 @@ func TestFullAPICycleOverTCP(t *testing.T) {
 
 func TestAPIErrorsPropagate(t *testing.T) {
 	_, addr := startServer(t, dhlsys.DefaultOptions())
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	// Unknown cart.
-	resp, err := c.Open(99)
+	resp, err := c.do(Request{Op: OpOpen, Cart: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +171,7 @@ func TestAPIErrorsPropagate(t *testing.T) {
 		t.Errorf("resp = %+v", resp)
 	}
 	// Read while at library.
-	resp, err = c.Read(0, units.GB)
+	resp, err = c.do(Request{Op: OpRead, Cart: 0, Bytes: float64(units.GB)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +179,7 @@ func TestAPIErrorsPropagate(t *testing.T) {
 		t.Errorf("resp = %+v", resp)
 	}
 	// Malformed op.
-	resp, err = c.Do(Request{Op: "warp"})
+	resp, err = c.do(Request{Op: "warp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +200,17 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(cart int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := dial(addr)
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer c.Close()
-			if r, err := c.Open(cart); err != nil || !r.OK {
+			if r, err := c.do(Request{Op: OpOpen, Cart: cart}); err != nil || !r.OK {
 				errs <- err
 				return
 			}
-			if r, err := c.CloseCart(cart); err != nil || !r.OK {
+			if r, err := c.do(Request{Op: OpClose, Cart: cart}); err != nil || !r.OK {
 				errs <- err
 			}
 		}(i)
@@ -193,12 +224,12 @@ func TestConcurrentClients(t *testing.T) {
 	}
 
 	// All four carts went out and back.
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.Status()
+	st, err := c.do(Request{Op: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +240,13 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestMultipleRequestsPerConnection(t *testing.T) {
 	_, addr := startServer(t, dhlsys.DefaultOptions())
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := c.Status(); err != nil {
+		if _, err := c.do(Request{Op: OpStatus}); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -223,27 +254,27 @@ func TestMultipleRequestsPerConnection(t *testing.T) {
 
 func TestErrorCodesStructured(t *testing.T) {
 	_, addr := startServer(t, dhlsys.DefaultOptions())
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	resp, err := c.Open(99)
+	resp, err := c.do(Request{Op: OpOpen, Cart: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Code != CodeUnknownCart {
 		t.Errorf("open(99) code = %q, want %q", resp.Code, CodeUnknownCart)
 	}
-	resp, err = c.Read(0, units.GB)
+	resp, err = c.do(Request{Op: OpRead, Cart: 0, Bytes: float64(units.GB)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Code != CodeNotDocked {
 		t.Errorf("read-at-library code = %q, want %q", resp.Code, CodeNotDocked)
 	}
-	resp, err = c.Do(Request{Op: "warp"})
+	resp, err = c.do(Request{Op: "warp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +282,7 @@ func TestErrorCodesStructured(t *testing.T) {
 		t.Errorf("bad op code = %q, want %q", resp.Code, CodeBadRequest)
 	}
 	// Successful ops carry no code.
-	resp, err = c.Open(0)
+	resp, err = c.do(Request{Op: OpOpen, Cart: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,17 +330,17 @@ func TestReadDeadlineDropsIdleConnection(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Status(); err != nil {
+	if _, err := c.do(Request{Op: OpStatus}); err != nil {
 		t.Fatalf("first request should succeed: %v", err)
 	}
 	// Sit idle past the read deadline; the server must drop us.
 	time.Sleep(150 * time.Millisecond)
-	if _, err := c.Status(); err == nil {
+	if _, err := c.do(Request{Op: OpStatus}); err == nil {
 		t.Error("idle connection should have been dropped by the read deadline")
 	}
 }
@@ -331,12 +362,12 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	// A connected-but-idle client must not wedge Close: the drain window
 	// expires and the connection is severed.
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Status(); err != nil {
+	if _, err := c.do(Request{Op: OpStatus}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -347,8 +378,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal("Close did not drain within the timeout")
 	}
 	// New connections are refused after shutdown.
-	if c2, err := Dial(addr); err == nil {
-		if _, err := c2.Status(); err == nil {
+	if c2, err := dial(addr); err == nil {
+		if _, err := c2.do(Request{Op: OpStatus}); err == nil {
 			t.Error("request after shutdown should fail")
 		}
 		c2.Close()
@@ -357,15 +388,15 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 func TestStatusCarriesAvailability(t *testing.T) {
 	_, addr := startServer(t, dhlsys.DefaultOptions())
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if r, err := c.Open(0); err != nil || !r.OK {
+	if r, err := c.do(Request{Op: OpOpen, Cart: 0}); err != nil || !r.OK {
 		t.Fatalf("open: %v %+v", err, r)
 	}
-	st, err := c.Status()
+	st, err := c.do(Request{Op: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -654,70 +654,3 @@ func CodeForError(err error) string {
 		return CodeError
 	}
 }
-
-// Client is a minimal API client for the wire protocol. For deadline
-// propagation, retries, and retry budgets, use internal/cpclient.
-type Client struct {
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
-}
-
-// Dial connects to a server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: dial: %w", err)
-	}
-	return &Client{
-		conn: conn,
-		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-	}, nil
-}
-
-// Do performs one request/response exchange.
-func (c *Client) Do(req Request) (Response, error) {
-	if err := c.enc.Encode(req); err != nil {
-		return Response{}, fmt.Errorf("controlplane: send: %w", err)
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return Response{}, fmt.Errorf("controlplane: recv: %w", err)
-	}
-	return resp, nil
-}
-
-// Open shuttles a cart to the endpoint.
-func (c *Client) Open(cart int) (Response, error) {
-	return c.Do(Request{Op: OpOpen, Cart: cart})
-}
-
-// CloseCart returns a cart to the library.
-func (c *Client) CloseCart(cart int) (Response, error) {
-	return c.Do(Request{Op: OpClose, Cart: cart})
-}
-
-// Read reads bytes from a docked cart.
-func (c *Client) Read(cart int, b units.Bytes) (Response, error) {
-	return c.Do(Request{Op: OpRead, Cart: cart, Bytes: float64(b)})
-}
-
-// Write writes bytes to a docked cart.
-func (c *Client) Write(cart int, b units.Bytes) (Response, error) {
-	return c.Do(Request{Op: OpWrite, Cart: cart, Bytes: float64(b)})
-}
-
-// Status fetches the deployment counters.
-func (c *Client) Status() (Response, error) {
-	return c.Do(Request{Op: OpStatus})
-}
-
-// Metrics fetches the Prometheus text exposition of the deployment's
-// telemetry registry.
-func (c *Client) Metrics() (Response, error) {
-	return c.Do(Request{Op: OpMetrics})
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }

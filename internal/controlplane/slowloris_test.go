@@ -61,12 +61,12 @@ func TestOversizedRequestLineRejected(t *testing.T) {
 	}
 
 	// A well-behaved client on a fresh connection is unaffected.
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if st, err := c.Status(); err != nil || !st.OK {
+	if st, err := c.do(Request{Op: OpStatus}); err != nil || !st.OK {
 		t.Errorf("fresh connection after oversize rejection: %v %+v", err, st)
 	}
 }
@@ -173,12 +173,12 @@ func TestDrainSeversStragglersAndCounts(t *testing.T) {
 func TestMaxConnsRefusedStructurally(t *testing.T) {
 	_, addr := startHardened(t, func(o *ServerOptions) { o.MaxConns = 1 })
 
-	keeper, err := Dial(addr)
+	keeper, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer keeper.Close()
-	if _, err := keeper.Status(); err != nil {
+	if _, err := keeper.do(Request{Op: OpStatus}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -197,7 +197,7 @@ func TestMaxConnsRefusedStructurally(t *testing.T) {
 		t.Errorf("over-cap response = %+v", resp)
 	}
 	// The kept connection still works.
-	if st, err := keeper.Status(); err != nil || !st.OK {
+	if st, err := keeper.do(Request{Op: OpStatus}); err != nil || !st.OK {
 		t.Errorf("kept connection: %v %+v", err, st)
 	}
 }

@@ -3,9 +3,10 @@ package repro
 // Benchmarks for the dhllint engine itself: the sequential reference path
 // (Workers=1) against the GOMAXPROCS-bounded pool, both over the whole
 // module with a pre-warmed loader so the measured work is analysis, not
-// parsing and type-checking. Regenerate the regression record with
+// parsing and type-checking. Regenerate the regression record,
+// BENCH_sweep.json, with
 //
-//	scripts/bench.sh lint
+//	scripts/bench.sh
 
 import (
 	"os"
@@ -58,6 +59,6 @@ func BenchmarkLintModuleSequential(b *testing.B) { benchLintModule(b, 1) }
 // diagnostics are byte-identical to the sequential path
 // (TestParallelMatchesSequential in internal/lint). On a single-core host
 // GOMAXPROCS(0) is 1 and this degenerates to the sequential schedule —
-// compare against Sequential only where GOMAXPROCS > 1 (see the notes in
-// BENCH_lint.json).
+// compare against Sequential only where GOMAXPROCS > 1 (see gomaxprocs and
+// the notes in BENCH_sweep.json).
 func BenchmarkLintModuleParallel(b *testing.B) { benchLintModule(b, runtime.GOMAXPROCS(0)) }

@@ -6,20 +6,16 @@
 #
 # Usage: scripts/bench.sh [output.json] [bench-regex]
 #   scripts/bench.sh                                  # all benches → BENCH_sweep.json
-#   scripts/bench.sh lint                             # the dhllint engine → BENCH_lint.json
-#   scripts/bench.sh kernel                           # event-kernel hot path → BENCH_kernel.json
 #   scripts/bench.sh controlplane                     # dhlload overload run → BENCH_controlplane.json
 #   scripts/bench.sh campus                           # 1000-cart campus chaos run → BENCH_campus.json
 #
-# The kernel mode runs the event-kernel pair (burst and steady-state),
-# the shuttle workload, and the telemetry shuttle pair; kernel rows gain
-# an events_per_sec field and the output an overhead_pct (warm
-# telemetry-enabled vs disabled shuttle, the pooled-Set operating mode)
-# plus overhead_cold_pct (fresh Set per run).
-#
-# The lint mode runs the sequential/parallel dhllint engine pair and adds
-# gomaxprocs + notes fields, so a recorded no-speedup parallel run names
-# its cause (a single-core host) instead of looking like a pool bug.
+# The sweep record carries derived fields next to the rows: the two
+# event-kernel rows (burst and steady-state) gain events_per_sec; the
+# telemetry shuttle pair gives overhead_pct (warm telemetry-enabled vs
+# disabled shuttle, the pooled-Set operating mode) and overhead_cold_pct
+# (fresh Set per run); gomaxprocs names the core count, and on a
+# single-core host a note says why the parallel lint row shows no speedup
+# over the sequential one, so it does not look like a pool bug.
 #
 # The controlplane mode is not a Go benchmark: it runs the cmd/dhlload
 # virtual-time load harness at ~4x saturation (closed loop, fixed seed)
@@ -71,23 +67,16 @@ fi
 
 out="${1:-BENCH_sweep.json}"
 pattern="${2:-.}"
-kernel=0
-lint=0
-if [[ "${1:-}" == "kernel" ]]; then
-    out="BENCH_kernel.json"
-    pattern="BenchmarkEventKernel(SteadyState)?$|BenchmarkSystemSimulation$|BenchmarkShuttleTelemetry(Disabled|Enabled|EnabledCold)$"
-    kernel=1
-elif [[ "${1:-}" == "lint" ]]; then
-    out="BENCH_lint.json"
-    pattern="BenchmarkLintModule(Sequential|Parallel)$"
-    lint=1
+if [[ "$out" != *.json ]]; then
+    echo "bench.sh: unknown mode \"$out\" (campus, controlplane, or an output .json path)" >&2
+    exit 2
 fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run=NONE -bench="$pattern" -benchmem -count=3 . | tee "$raw"
 
-awk -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v kernel="$kernel" -v lint="$lint" '
+awk -v gomaxprocs="${GOMAXPROCS:-$(nproc)}" '
 /^Benchmark/ {
     # BenchmarkName-N  iters  ns/op  B/op  allocs/op
     name = $1
@@ -115,21 +104,18 @@ END {
         name = order[i]
         printf "    {\"name\": \"%s\", \"ns_per_op\": %.1f, \"bytes_per_op\": %d, \"allocs_per_op\": %d", \
             name, best[name], bop[name], aop[name]
-        if (kernel && (name in evop) && best[name] > 0)
+        if ((name in evop) && best[name] > 0)
             printf ", \"events_per_sec\": %.0f", evop[name] / best[name] * 1e9
         printf "}%s\n", (i < n ? "," : "")
     }
-    printf "  ]"
-    if (lint) {
-        printf ",\n  \"gomaxprocs\": %d", gomaxprocs
-        if (gomaxprocs == 1)
-            printf ",\n  \"notes\": \"BenchmarkLintModuleParallel shows no speedup over Sequential on this machine because the benchmark host is single-core (GOMAXPROCS=1): the GOMAXPROCS-bounded pool degenerates to one worker, so both benches run the identical sequential schedule. The pool itself adds <3%% overhead at worker count 1; TestParallelMatchesSequential and TestDesignSpaceSweepIsWorkerCountInvariant pin that worker count never changes output. Re-measure on a multi-core host to see pool scaling.\""
-    }
-    if (kernel && ("BenchmarkShuttleTelemetryDisabled" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
+    printf "  ],\n  \"gomaxprocs\": %d", gomaxprocs
+    if (gomaxprocs == 1 && ("BenchmarkLintModuleParallel" in best))
+        printf ",\n  \"notes\": \"BenchmarkLintModuleParallel shows no speedup over Sequential on this machine because the benchmark host is single-core (GOMAXPROCS=1): the GOMAXPROCS-bounded pool degenerates to one worker, so both benches run the identical sequential schedule. The pool itself adds <3%% overhead at worker count 1; TestParallelMatchesSequential and TestDesignSpaceSweepIsWorkerCountInvariant pin that worker count never changes output. Re-measure on a multi-core host to see pool scaling.\""
+    if (("BenchmarkShuttleTelemetryDisabled" in best) && ("BenchmarkShuttleTelemetryEnabled" in best)) {
         off = best["BenchmarkShuttleTelemetryDisabled"]
         on = best["BenchmarkShuttleTelemetryEnabled"]
         printf ",\n  \"overhead_pct\": %.2f", (on - off) / off * 100
-        if (kernel && ("BenchmarkShuttleTelemetryEnabledCold" in best))
+        if ("BenchmarkShuttleTelemetryEnabledCold" in best)
             printf ",\n  \"overhead_cold_pct\": %.2f", \
                 (best["BenchmarkShuttleTelemetryEnabledCold"] - off) / off * 100
     }
