@@ -189,7 +189,6 @@ func newHarness(cfg Config) (*harness, error) {
 	cfg = cfg.withDefaults()
 	opt := dhlsys.DefaultOptions()
 	opt.NumCarts = cfg.Carts
-	opt.LibrarySlots = 0
 	if cfg.Chaos != "" {
 		script, err := faults.ScenarioDims(cfg.Chaos, cfg.Seed, units.Seconds(cfg.Duration), opt.Dims())
 		if err != nil {

@@ -14,6 +14,9 @@
 //	dhlsim -campus [-campus-carts N] [-campus-trips N] [-campus-epoch S]
 //	       [-campus-alpha F] [-campus-workers N] [-chaos campus-partition]
 //	       [-fault-log] [-metrics] [-bench-out FILE] [-campus-study S1,S2,...]
+//
+// A negative -campus-epoch disables periodic route epochs: routes then
+// recompute only on fault transitions.
 package main
 
 import (
@@ -64,7 +67,7 @@ func main() {
 		campus        = flag.Bool("campus", false, "run the campus tube-network simulation (internal/tubenet) instead of the shuttle")
 		campusCarts   = flag.Int("campus-carts", 1000, "campus fleet size")
 		campusTrips   = flag.Int("campus-trips", 2, "station-to-station trips per campus cart")
-		campusEpoch   = flag.Float64("campus-epoch", 30, "congestion route-recompute period in seconds (0 = recompute only on faults)")
+		campusEpoch   = flag.Float64("campus-epoch", 30, "congestion route-recompute period in seconds (negative = recompute only on fault transitions)")
 		campusAlpha   = flag.Float64("campus-alpha", 0.25, "queue-depth weight in the congestion-aware edge cost")
 		campusWorkers = flag.Int("campus-workers", 1, "sweep workers for route recomputes and studies (output identical at any count)")
 		campusStudy   = flag.String("campus-study", "", "comma-separated seeds: run the chaos-vs-calm campus replica study and exit (implies -campus)")

@@ -9,9 +9,10 @@ import (
 
 func TestCheckTraceAcceptsExporterOutput(t *testing.T) {
 	l := telemetry.NewSpanLog()
-	l.Span("cart-0", "transit", 10, 110, telemetry.KV{Key: "dir", Value: "outbound"})
-	l.Span("cart-1", "dock", 120, 125)
-	l.Mark("cart-0", "reroute", 130)
+	cart0, cart1 := l.Intern("cart-0"), l.Intern("cart-1")
+	l.RecordSpan(cart0, l.Intern("transit"), 10, 110, telemetry.KV{Key: "dir", Value: "outbound"})
+	l.RecordSpan(cart1, l.Intern("dock"), 120, 125)
+	l.RecordInstant(cart0, l.Intern("reroute"), 130)
 	data, err := telemetry.ChromeTrace(l)
 	if err != nil {
 		t.Fatal(err)

@@ -116,6 +116,13 @@ func (r Reason) String() string {
 	}
 }
 
+// retryAfterMin and retryAfterMax clamp the retry-after hint carried by
+// shed outcomes.
+const (
+	retryAfterMin = 50 * time.Millisecond
+	retryAfterMax = 10 * time.Second
+)
+
 // Options configures a Controller. New applies the documented defaults
 // to zero fields, so the zero value is the default controller.
 //
@@ -140,10 +147,6 @@ type Options struct {
 	// brownout begins (launch-class arrivals shed). Default 0.5;
 	// set >= 1 to disable brownout.
 	BrownoutFrac float64
-	// RetryAfterMin and RetryAfterMax clamp the retry-after hint carried
-	// by shed outcomes. Defaults 50ms and 10s.
-	RetryAfterMin time.Duration
-	RetryAfterMax time.Duration
 	// ServiceTimeHint seeds the smoothed per-request service-time
 	// estimate before any request has completed. Default 100ms.
 	ServiceTimeHint time.Duration
@@ -161,15 +164,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BrownoutFrac <= 0 {
 		o.BrownoutFrac = 0.5
-	}
-	if o.RetryAfterMin <= 0 {
-		o.RetryAfterMin = 50 * time.Millisecond
-	}
-	if o.RetryAfterMax <= 0 {
-		o.RetryAfterMax = 10 * time.Second
-	}
-	if o.RetryAfterMax < o.RetryAfterMin {
-		o.RetryAfterMax = o.RetryAfterMin
 	}
 	if o.ServiceTimeHint <= 0 {
 		o.ServiceTimeHint = 100 * time.Millisecond
@@ -313,15 +307,15 @@ func (c *Controller) refillLocked(now time.Time) {
 
 // retryAfterLocked derives the shed hint from the backlog: the time for
 // the executor to clear the current queue at the smoothed service rate,
-// clamped to [RetryAfterMin, RetryAfterMax]. Callers hold mu.
+// clamped to [retryAfterMin, retryAfterMax]. Callers hold mu.
 func (c *Controller) retryAfterLocked() time.Duration {
 	backlog := float64(len(c.waiters)+c.inflight) * c.estService
 	d := time.Duration(backlog * float64(time.Second))
-	if d < c.opt.RetryAfterMin {
-		d = c.opt.RetryAfterMin
+	if d < retryAfterMin {
+		d = retryAfterMin
 	}
-	if d > c.opt.RetryAfterMax {
-		d = c.opt.RetryAfterMax
+	if d > retryAfterMax {
+		d = retryAfterMax
 	}
 	return d
 }
@@ -330,18 +324,18 @@ func (c *Controller) retryAfterLocked() time.Duration {
 // token accrues. Callers hold mu.
 func (c *Controller) tokenRetryLocked() time.Duration {
 	if c.opt.Rate <= 0 {
-		return c.opt.RetryAfterMin
+		return retryAfterMin
 	}
 	need := 1 - c.tokens
 	if need < 0 {
 		need = 0
 	}
 	d := time.Duration(need / c.opt.Rate * float64(time.Second))
-	if d < c.opt.RetryAfterMin {
-		d = c.opt.RetryAfterMin
+	if d < retryAfterMin {
+		d = retryAfterMin
 	}
-	if d > c.opt.RetryAfterMax {
-		d = c.opt.RetryAfterMax
+	if d > retryAfterMax {
+		d = retryAfterMax
 	}
 	return d
 }

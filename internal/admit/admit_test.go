@@ -18,8 +18,30 @@ func TestDefaults(t *testing.T) {
 	if o.MaxQueue != 64 {
 		t.Errorf("defaults: %+v", o)
 	}
-	if o.BrownoutFrac != 0.5 || o.RetryAfterMin != 50*time.Millisecond {
+	if o.BrownoutFrac != 0.5 {
 		t.Errorf("defaults: %+v", o)
+	}
+}
+
+// TestRetryAfterClamp pins the shed hint's bounds: a shed with nothing
+// queued or running carries the 50ms floor, and a deep backlog is capped
+// at 10s.
+func TestRetryAfterClamp(t *testing.T) {
+	c := New(Options{Rate: 1000, Burst: 1})
+	tk, _ := c.Arrive(ClassIO, -1, at(0))
+	if _, err := c.Done(tk, at(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, o := c.Arrive(ClassIO, -1, at(0)); o.Reason != ReasonRateLimited || o.RetryAfter != 50*time.Millisecond {
+		t.Errorf("empty-backlog shed = %+v, want rate-limited with a 50ms hint", o)
+	}
+
+	deep := New(Options{ServiceTimeHint: time.Second})
+	for i := 0; i <= 64; i++ { // one running, 64 queued: a 65s backlog
+		deep.Arrive(ClassIO, -1, at(0))
+	}
+	if _, o := deep.Arrive(ClassIO, -1, at(0)); o.Reason != ReasonQueueFull || o.RetryAfter != 10*time.Second {
+		t.Errorf("deep-backlog shed = %+v, want queue-full with a 10s hint", o)
 	}
 }
 

@@ -150,7 +150,7 @@ func (s *System) dynamics() launchDynamics {
 		return base
 	}
 	v := physics.DegradedCruiseSpeed(s.effectiveTube(), cfg.Cart.TotalMass,
-		cfg.Acceleration, cfg.MaxSpeed, s.opt.Recovery.VacuumMargin)
+		cfg.Acceleration, cfg.MaxSpeed, physics.DefaultDragMargin)
 	if v >= cfg.MaxSpeed {
 		return base
 	}

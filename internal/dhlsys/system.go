@@ -39,21 +39,15 @@ type Options struct {
 	LibrarySlots int
 	// NumCarts in the fleet.
 	NumCarts int
-	// RAID level of each cart's array and the docking PCIe interface.
-	RAID        storage.RAIDLevel
-	PCIeGen     int
-	LanesPerSSD int
+	// RAID level of each cart's array. Every SSD docks over one PCIe 6
+	// lane.
+	RAID storage.RAIDLevel
 	// FailureRate is the per-launch probability that one SSD on the cart
 	// fails in flight (§III-D failure amelioration).
 	FailureRate float64
 	// Seed drives the failure-injection RNG; simulations are deterministic
 	// for a fixed seed.
 	Seed int64
-	// RNG, when non-nil, overrides Seed with an injected generator so a
-	// caller can thread one seeded *rand.Rand through a whole scenario.
-	// The system owns the generator for its lifetime; it must not be
-	// shared with concurrent users.
-	RNG *rand.Rand
 	// Wear, if non-nil, tracks connector mating cycles per cart (§VI
 	// connector longevity); carts due for service are re-connectored at
 	// the library, paying the connector's replacement downtime.
@@ -91,13 +85,9 @@ type RecoveryPolicy struct {
 	LaunchTimeout units.Seconds
 	// RetryBackoff is the initial delay before a failed delivery is
 	// retried by the bulk-transfer driver; it doubles per consecutive
-	// failure. Zero retries immediately (the pre-policy behaviour).
+	// failure up to 16× RetryBackoff. Zero retries immediately (the
+	// pre-policy behaviour).
 	RetryBackoff units.Seconds
-	// MaxBackoff caps the doubled backoff (0 = 16× RetryBackoff).
-	MaxBackoff units.Seconds
-	// VacuumMargin is the drag/thrust fraction defining degraded-mode
-	// cruise speed under partial vacuum (0 = physics.DefaultDragMargin).
-	VacuumMargin float64
 }
 
 // DefaultOptions is the paper's primary setup: default DHL, single rail,
@@ -109,8 +99,6 @@ func DefaultOptions() Options {
 		DockStations: 4,
 		NumCarts:     2,
 		RAID:         storage.RAID0,
-		PCIeGen:      6,
-		LanesPerSSD:  1,
 	}
 }
 
@@ -275,10 +263,6 @@ func New(opt Options) (*System, error) {
 		return nil, fmt.Errorf("dhlsys: %d library slots cannot hold %d carts",
 			opt.LibrarySlots, opt.NumCarts)
 	}
-	rng := opt.RNG
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opt.Seed))
-	}
 	tube := opt.Tube
 	if tube.CrossSectionArea <= 0 {
 		tube = physics.DefaultTube()
@@ -291,13 +275,13 @@ func New(opt Options) (*System, error) {
 		dock:         dock,
 		lib:          track.NewLibrary(opt.LibrarySlots),
 		carts:        make(map[track.CartID]*Cart),
-		rng:          rng,
+		rng:          rand.New(rand.NewSource(opt.Seed)),
 		tube:         tube,
 		needsService: make(map[track.CartID]bool),
 	}
 	for i := 0; i < opt.NumCarts; i++ {
 		id := track.CartID(i)
-		arr, err := opt.Core.Cart.NewArray(opt.RAID, opt.PCIeGen, opt.LanesPerSSD)
+		arr, err := opt.Core.Cart.NewArray(opt.RAID, 6, 1)
 		if err != nil {
 			return nil, err
 		}

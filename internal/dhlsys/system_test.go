@@ -420,3 +420,30 @@ func TestQueueingCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestBackoffDelay pins the retry schedule: none without a RetryBackoff,
+// otherwise doubling per consecutive failure up to 16× RetryBackoff.
+func TestBackoffDelay(t *testing.T) {
+	cases := []struct {
+		backoff     units.Seconds
+		consecFails int
+		want        units.Seconds
+	}{
+		{0, 0, 0},
+		{0, 3, 0},
+		{2, 0, 2},
+		{2, 1, 4},
+		{2, 2, 8},
+		{2, 3, 16},
+		{2, 4, 32},
+		{2, 5, 32},
+		{2, 40, 32},
+	}
+	for _, c := range cases {
+		opt := DefaultOptions()
+		opt.Recovery.RetryBackoff = c.backoff
+		if got := mustSystem(t, opt).backoffDelay(c.consecFails); got != c.want {
+			t.Errorf("backoff %v after %d failures = %v, want %v", c.backoff, c.consecFails, got, c.want)
+		}
+	}
+}

@@ -185,7 +185,7 @@ func (g *CallGraph) scanBody(n *cgNode) {
 			}
 			return true
 		}
-		if desc := ambientSource(fn); desc != "" {
+		if desc, _ := ambientSource(fn); desc != "" {
 			n.sources = append(n.sources, site{desc: desc, pos: id.Pos(), rule: "determinism"})
 		}
 		return true
@@ -207,32 +207,45 @@ func (g *CallGraph) isModuleFunc(fn *types.Func) bool {
 	return path == g.cfg.ModulePath || strings.HasPrefix(path, g.cfg.ModulePath+"/")
 }
 
-// ambientSource classifies a non-module function as an ambient-state
-// source, returning a human-readable description or "". The set mirrors
-// the determinism analyzer: wall clock, global math/rand draws, and
-// environment reads. Methods never qualify — a seeded *rand.Rand's Float64
-// is the sanctioned idiom.
-func ambientSource(fn *types.Func) string {
+// seededConstructors are the math/rand entry points that take an explicit
+// seed or source and are therefore deterministic.
+var seededConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	// math/rand/v2 seeded generators.
+	"NewPCG": true, "NewChaCha8": true,
+}
+
+// ambientSource classifies a function as an ambient-state source: wall
+// clock, global math/rand draws, and environment reads. It returns the
+// short description call-graph chains print and the advice the
+// determinism analyzer reports at a direct use, or two empty strings.
+// Methods never qualify — a seeded *rand.Rand's Float64 is the sanctioned
+// idiom.
+func ambientSource(fn *types.Func) (desc, advice string) {
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return ""
+		return "", ""
 	}
+	name := fn.Name()
 	switch fn.Pkg().Path() {
 	case "time":
-		switch fn.Name() {
+		switch name {
 		case "Now", "Since", "Until":
-			return fmt.Sprintf("time.%s (wall clock)", fn.Name())
+			return fmt.Sprintf("time.%s (wall clock)", name),
+				fmt.Sprintf("time.%s reads the wall clock; model code must take time from the simulation engine or an injected clock", name)
 		}
 	case "math/rand", "math/rand/v2":
-		if !seededConstructors[fn.Name()] {
-			return fmt.Sprintf("rand.%s (global random source)", fn.Name())
+		if !seededConstructors[name] {
+			return fmt.Sprintf("rand.%s (global random source)", name),
+				fmt.Sprintf("rand.%s draws from the global source; thread a seeded *rand.Rand through the constructor instead", name)
 		}
 	case "os":
-		switch fn.Name() {
+		switch name {
 		case "Getenv", "LookupEnv", "Environ":
-			return fmt.Sprintf("os.%s (environment read)", fn.Name())
+			return fmt.Sprintf("os.%s (environment read)", name),
+				fmt.Sprintf("os.%s makes model output depend on the environment; pass configuration explicitly", name)
 		}
 	}
-	return ""
+	return "", ""
 }
 
 // shortName renders a function for chains and dumps: the package path with

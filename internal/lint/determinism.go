@@ -17,14 +17,6 @@ var Determinism = &Analyzer{
 	Run:  runDeterminism,
 }
 
-// seededConstructors are the math/rand entry points that take an explicit
-// seed or source and are therefore deterministic.
-var seededConstructors = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	// math/rand/v2 seeded generators.
-	"NewPCG": true, "NewChaCha8": true,
-}
-
 func runDeterminism(p *Pass) {
 	if !p.Cfg.isModelPackage(p.Pkg.ImportPath) {
 		return
@@ -39,26 +31,8 @@ func runDeterminism(p *Pass) {
 			if !ok || fn.Pkg() == nil {
 				return true
 			}
-			// Methods (e.g. a seeded rand.Rand's Float64) are fine; only
-			// package-level functions reach ambient state.
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "time":
-				switch fn.Name() {
-				case "Now", "Since", "Until":
-					p.Report(id.Pos(), "time.%s reads the wall clock; model code must take time from the simulation engine or an injected clock", fn.Name())
-				}
-			case "math/rand", "math/rand/v2":
-				if !seededConstructors[fn.Name()] {
-					p.Report(id.Pos(), "rand.%s draws from the global source; thread a seeded *rand.Rand through the constructor instead", fn.Name())
-				}
-			case "os":
-				switch fn.Name() {
-				case "Getenv", "LookupEnv", "Environ":
-					p.Report(id.Pos(), "os.%s makes model output depend on the environment; pass configuration explicitly", fn.Name())
-				}
+			if _, advice := ambientSource(fn); advice != "" {
+				p.Report(id.Pos(), "%s", advice)
 			}
 			return true
 		})

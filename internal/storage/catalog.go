@@ -62,11 +62,6 @@ var (
 	}
 )
 
-// Catalog lists all known devices.
-func Catalog() []DeviceSpec {
-	return []DeviceSpec{WDGold, NimbusExaDrive, SabrentRocket4Plus, WD22TB}
-}
-
 // DensityPerGram is the storage density in bytes per gram — the quantity the
 // paper observes has been "quietly skyrocketing" for M.2 SSDs.
 func (d DeviceSpec) DensityPerGram() units.BytesPerGram {

@@ -69,11 +69,8 @@ type SpanLog struct {
 	instRecs []instRec
 
 	// strs is the intern table StrIDs index. Intern appends without
-	// dedup (hot callers intern each constant exactly once, at
-	// construction); the string-keyed compat path dedups through strIDs,
-	// built lazily so ID-only logs never pay for the map.
-	strs   []string
-	strIDs map[string]StrID
+	// dedup: callers intern each constant exactly once, at construction.
+	strs []string
 
 	// argLog is the flat backing store for span/instant annotations.
 	// Records hold (start, len) indices rather than slices, so growing
@@ -110,7 +107,6 @@ func (l *SpanLog) Reset() {
 	l.recs = l.recs[:0]
 	l.instRecs = l.instRecs[:0]
 	l.strs = l.strs[:0]
-	clear(l.strIDs)
 	l.argLog = l.argLog[:0]
 }
 
@@ -161,20 +157,6 @@ func growCap[T any](s []T, n int) []T {
 	return out
 }
 
-// internDedup is the string-compat path's lookup: one table entry per
-// distinct string, building the reverse index lazily.
-func (l *SpanLog) internDedup(s string) StrID {
-	if id, ok := l.strIDs[s]; ok {
-		return id
-	}
-	id := l.Intern(s)
-	if l.strIDs == nil {
-		l.strIDs = make(map[string]StrID, 16)
-	}
-	l.strIDs[s] = id
-	return id
-}
-
 // saveArgs copies args into the arg store and returns their (start, len)
 // window. Indices stay valid across store growth, unlike slices.
 //
@@ -220,7 +202,8 @@ func (l *SpanLog) RecordSpan(track, name StrID, start, end units.Seconds, args .
 	})
 }
 
-// RecordInstant records a zero-duration event on interned IDs.
+// RecordInstant records a zero-duration event on interned IDs. The args
+// slice is copied, never retained.
 //
 //dhllint:hotpath
 func (l *SpanLog) RecordInstant(track, name StrID, at units.Seconds, args ...KV) {
@@ -239,26 +222,6 @@ func (l *SpanLog) RecordInstant(track, name StrID, at units.Seconds, args ...KV)
 	l.instRecs = append(l.instRecs, instRec{
 		at: float64(at), track: track, name: name, argStart: as, argLen: an,
 	})
-}
-
-// Span records a completed interval by name — the string-keyed
-// compatibility path, which interns through a dedup map. Hot paths should
-// intern once and use RecordSpan. The args slice is copied, never
-// retained.
-func (l *SpanLog) Span(track, name string, start, end units.Seconds, args ...KV) {
-	if l == nil {
-		return
-	}
-	l.RecordSpan(l.internDedup(track), l.internDedup(name), start, end, args...)
-}
-
-// Mark records an instant event by name. The args slice is copied, never
-// retained.
-func (l *SpanLog) Mark(track, name string, at units.Seconds, args ...KV) {
-	if l == nil {
-		return
-	}
-	l.RecordInstant(l.internDedup(track), l.internDedup(name), at, args...)
 }
 
 // argsAt returns the annotation window as a capacity-capped view.

@@ -5,14 +5,27 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/units"
 )
+
+// span and mark record through Intern + RecordSpan/RecordInstant. Intern
+// does not deduplicate, so a repeated name gets a fresh StrID; exporters
+// resolve names by string, so the output is unaffected.
+func span(l *SpanLog, track, name string, start, end units.Seconds, args ...KV) {
+	l.RecordSpan(l.Intern(track), l.Intern(name), start, end, args...)
+}
+
+func mark(l *SpanLog, track, name string, at units.Seconds, args ...KV) {
+	l.RecordInstant(l.Intern(track), l.Intern(name), at, args...)
+}
 
 func TestSpanLogRecordsAndSorts(t *testing.T) {
 	l := NewSpanLog()
-	l.Span("cart-1", "transit", 10, 30, KV{Key: "dir", Value: "outbound"})
-	l.Span("cart-0", "undock", 0, 5)
-	l.Span("cart-0", "transit", 5, 25)
-	l.Mark("faults", "ssd-failure", 12)
+	span(l, "cart-1", "transit", 10, 30, KV{Key: "dir", Value: "outbound"})
+	span(l, "cart-0", "undock", 0, 5)
+	span(l, "cart-0", "transit", 5, 25)
+	mark(l, "faults", "ssd-failure", 12)
 	if l.Len() != 4 {
 		t.Fatalf("len = %d, want 4", l.Len())
 	}
@@ -34,7 +47,7 @@ func TestSpanLogRecordsAndSorts(t *testing.T) {
 
 func TestSpanInvertedIntervalClamped(t *testing.T) {
 	l := NewSpanLog()
-	l.Span("x", "weird", 10, 5)
+	span(l, "x", "weird", 10, 5)
 	s := l.Spans()[0]
 	if s.End != s.Start {
 		t.Errorf("inverted span not clamped: %+v", s)
@@ -43,8 +56,8 @@ func TestSpanInvertedIntervalClamped(t *testing.T) {
 
 func TestNilSpanLogIsNoOp(t *testing.T) {
 	var l *SpanLog
-	l.Span("a", "b", 0, 1)
-	l.Mark("a", "c", 2)
+	span(l, "a", "b", 0, 1)
+	mark(l, "a", "c", 2)
 	if l.Len() != 0 || l.Spans() != nil || l.Instants() != nil || l.Tracks() != nil {
 		t.Error("nil span log must stay empty")
 	}
@@ -72,9 +85,9 @@ type traceShape struct {
 
 func TestChromeTraceStructure(t *testing.T) {
 	l := NewSpanLog()
-	l.Span("cart-0", "undock", 0, 5)
-	l.Span("cart-0", "transit", 5, 25, KV{Key: "degraded", Value: "true"})
-	l.Mark("faults", "vacuum-leak", 7, KV{Key: "pressure", Value: "5000Pa"})
+	span(l, "cart-0", "undock", 0, 5)
+	span(l, "cart-0", "transit", 5, 25, KV{Key: "degraded", Value: "true"})
+	mark(l, "faults", "vacuum-leak", 7, KV{Key: "pressure", Value: "5000Pa"})
 	b, err := ChromeTrace(l)
 	if err != nil {
 		t.Fatal(err)
@@ -120,9 +133,9 @@ func TestChromeTraceStructure(t *testing.T) {
 func TestChromeTraceDeterministic(t *testing.T) {
 	build := func() string {
 		l := NewSpanLog()
-		l.Span("cart-1", "transit", 3, 9)
-		l.Span("cart-0", "transit", 1, 4, KV{Key: "k", Value: "v"})
-		l.Mark("faults", "stall", 2)
+		span(l, "cart-1", "transit", 3, 9)
+		span(l, "cart-0", "transit", 1, 4, KV{Key: "k", Value: "v"})
+		mark(l, "faults", "stall", 2)
 		b, err := ChromeTrace(l)
 		if err != nil {
 			t.Fatal(err)
@@ -136,9 +149,9 @@ func TestChromeTraceDeterministic(t *testing.T) {
 
 func TestSpanSummary(t *testing.T) {
 	l := NewSpanLog()
-	l.Span("cart-0", "transit", 0, 10)
-	l.Span("cart-0", "transit", 20, 35)
-	l.Mark("faults", "stall", 5)
+	span(l, "cart-0", "transit", 0, 10)
+	span(l, "cart-0", "transit", 20, 35)
+	mark(l, "faults", "stall", 5)
 	out := SpanSummary(l)
 	if !strings.Contains(out, "transit") || !strings.Contains(out, "25.000") {
 		t.Errorf("span summary wrong:\n%s", out)
@@ -154,8 +167,8 @@ func TestSpanSummary(t *testing.T) {
 func TestSpanArgsCopiedNotRetained(t *testing.T) {
 	l := NewSpanLog()
 	args := []KV{{Key: "site", Value: "library"}}
-	l.Span("cart-0", "undock", 0, 5, args...)
-	l.Mark("faults", "stall", 3, args...)
+	span(l, "cart-0", "undock", 0, 5, args...)
+	mark(l, "faults", "stall", 3, args...)
 	args[0] = KV{Key: "clobbered", Value: "yes"}
 	if got := l.Spans()[0].Args[0]; got.Key != "site" || got.Value != "library" {
 		t.Errorf("span retained the caller's args slice: %+v", got)
@@ -172,7 +185,7 @@ func TestArgSlabSurvivesChunkRollover(t *testing.T) {
 	l := NewSpanLog()
 	n := argSlabChunk*2 + 7
 	for i := 0; i < n; i++ {
-		l.Span("t", "s", 0, 1,
+		span(l, "t", "s", 0, 1,
 			KV{Key: "i", Value: strconvItoa(i)},
 			KV{Key: "j", Value: strconvItoa(i + 1)})
 	}
@@ -189,10 +202,10 @@ func strconvItoa(i int) string { return string(rune('A' + i%26)) }
 
 func TestEachMatchesCopyingAccessors(t *testing.T) {
 	l := NewSpanLog()
-	l.Span("cart-1", "transit", 3, 9)
-	l.Span("cart-0", "transit", 1, 4, KV{Key: "k", Value: "v"})
-	l.Mark("faults", "stall", 2, KV{Key: "delay_s", Value: "5"})
-	l.Mark("faults", "leak", 6)
+	span(l, "cart-1", "transit", 3, 9)
+	span(l, "cart-0", "transit", 1, 4, KV{Key: "k", Value: "v"})
+	mark(l, "faults", "stall", 2, KV{Key: "delay_s", Value: "5"})
+	mark(l, "faults", "leak", 6)
 
 	var iterSpans []Span
 	l.EachSpan(func(s Span) { iterSpans = append(iterSpans, s) })
@@ -235,20 +248,20 @@ func TestEachMatchesCopyingAccessors(t *testing.T) {
 // must not change a single byte of either export format.
 func TestExportersByteIdenticalToCopyPath(t *testing.T) {
 	l := NewSpanLog()
-	l.Span("cart-0", "undock", 0, 5, KV{Key: "site", Value: "library"})
-	l.Span("cart-1", "transit", 5, 25, KV{Key: "degraded", Value: "true"})
-	l.Span("cart-0", "transit", 5, 20)
-	l.Mark("faults", "vacuum-leak", 7, KV{Key: "pressure", Value: "5000Pa"})
-	l.Mark("faults", "stall", 9)
+	span(l, "cart-0", "undock", 0, 5, KV{Key: "site", Value: "library"})
+	span(l, "cart-1", "transit", 5, 25, KV{Key: "degraded", Value: "true"})
+	span(l, "cart-0", "transit", 5, 20)
+	mark(l, "faults", "vacuum-leak", 7, KV{Key: "pressure", Value: "5000Pa"})
+	mark(l, "faults", "stall", 9)
 
 	// Reference: a second log rebuilt through the copying accessors holds
 	// equal data, so both exports must serialise identically.
 	ref := NewSpanLog()
 	for _, s := range l.Spans() {
-		ref.Span(s.Track, s.Name, s.Start, s.End, s.Args...)
+		span(ref, s.Track, s.Name, s.Start, s.End, s.Args...)
 	}
 	for _, in := range l.Instants() {
-		ref.Mark(in.Track, in.Name, in.At, in.Args...)
+		mark(ref, in.Track, in.Name, in.At, in.Args...)
 	}
 
 	got, err := ChromeTrace(l)

@@ -26,12 +26,6 @@ type Options struct {
 	// Seed drives every random choice (start stations, destination chains,
 	// launch stagger). Same seed, same byte-identical run.
 	Seed int64
-	// CartMass and DragMargin feed the per-edge degraded-physics transit
-	// times (Topology.TransitTimes).
-	CartMass   units.Grams
-	DragMargin float64
-	// DwellTime is the docked turnaround between trips.
-	DwellTime units.Seconds
 	// LaunchSpread staggers initial departures uniformly over [0, spread).
 	LaunchSpread units.Seconds
 	// EpochEvery is the congestion-recompute period; 0 means the 30 s
@@ -43,14 +37,15 @@ type Options struct {
 	// RouterWorkers bounds the per-source Dijkstra fan-out on the sweep
 	// pool; results are byte-identical at any worker count.
 	RouterWorkers int
-	// MaxEvents bounds the event budget (sim.Engine.Run); ≤ 0 is unbounded.
-	MaxEvents int
 	// Telemetry enables metrics and span recording when non-nil.
 	Telemetry *telemetry.Set
 }
 
-// DefaultCartMass is the paper's 282 g cart.
+// DefaultCartMass is the paper's 282 g cart; every campus cart has it.
 const DefaultCartMass units.Grams = 282
+
+// dwellTime is the docked turnaround between trips.
+const dwellTime units.Seconds = 3
 
 func (o Options) withDefaults() Options {
 	if o.Carts == 0 {
@@ -58,12 +53,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TripsPerCart == 0 {
 		o.TripsPerCart = 2
-	}
-	if o.CartMass == 0 {
-		o.CartMass = DefaultCartMass
-	}
-	if o.DwellTime == 0 {
-		o.DwellTime = 3
 	}
 	if o.LaunchSpread == 0 {
 		o.LaunchSpread = 30
@@ -272,7 +261,7 @@ func New(opt Options) (*Campus, error) {
 	if len(stations) < 2 {
 		return nil, fmt.Errorf("%w: topology needs ≥ 2 stations for trips", ErrBadOptions)
 	}
-	base, err := topo.TransitTimes(opt.CartMass, opt.DragMargin)
+	base, err := topo.TransitTimes(DefaultCartMass, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +405,7 @@ func (c *Campus) Run() (Result, error) {
 	if err := c.Start(); err != nil {
 		return Result{}, err
 	}
-	if _, err := c.eng.Run(c.opt.MaxEvents); err != nil {
+	if _, err := c.eng.Run(0); err != nil {
 		return Result{}, err
 	}
 	return c.result(), nil
@@ -730,7 +719,7 @@ func (c *Campus) dockCart(ci int32) {
 		ct.planned = h
 		ct.hasPlan = h != NoEdge
 	}
-	c.eng.MustAfter(c.opt.DwellTime, evDwell, ct.dwellFn)
+	c.eng.MustAfter(dwellTime, evDwell, ct.dwellFn)
 }
 
 // endDwell releases the dock slot and either parks the cart (all trips

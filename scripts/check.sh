@@ -35,6 +35,12 @@ go run ./cmd/dhllint ./...
 echo "== dhllint concflow gate (lockcheck, lockorder, goescape)"
 go run ./cmd/dhllint -rules lockcheck,lockorder,goescape ./...
 
+# dhlrepro regenerates every paper table and figure; the rewritten files
+# must equal the committed out/.
+echo "== dhlrepro -out out: paper artefacts unchanged"
+go run ./cmd/dhlrepro -out out
+git diff --exit-code out/
+
 echo "== go test -race ./..."
 go test -race ./...
 
@@ -45,4 +51,4 @@ go test -race ./...
 echo "== go test -race -count=20 (admission, control plane, sweep, router)"
 go test -race -count=20 ./internal/admit ./internal/controlplane ./internal/cpclient ./cmd/dhlload ./internal/sweep ./internal/tubenet
 
-echo "OK: vet, gofmt, build (root and perfbench), dhllint, race-clean tests"
+echo "OK: vet, gofmt, build (root and perfbench), dhllint, paper artefacts, race-clean tests"
